@@ -35,11 +35,7 @@
 use sqlpp_eval::{Env, EvalConfig, Evaluator, ExecStats};
 use sqlpp_plan::lower::lower_with_scope;
 use sqlpp_plan::{CoreExpr, CoreOp, PlanConfig, Scope};
-use sqlpp_schema::Validator;
-use sqlpp_syntax::ast::{
-    Delete, Expr, Insert, InsertSource, PathStep, Query, QueryBlock, SelectClause, SetExpr,
-    SetQuantifier, Update,
-};
+use sqlpp_syntax::ast::{Delete, Expr, Insert, InsertSource, PathStep, Update};
 use sqlpp_value::{Tuple, Value};
 
 use crate::error::{Error, Result};
@@ -87,18 +83,17 @@ impl Engine {
         let mut stats: Option<ExecStats> = None;
         let new_elements: Vec<Value> = match &ins.source {
             InsertSource::Value(expr) => {
-                let (v, st) = self.eval_expr_with(&sqlpp_syntax::print_expr(expr), collect)?;
+                let (v, st) = self.eval_expr_with(expr.clone(), collect)?;
                 stats = st;
                 vec![v]
             }
             InsertSource::Query(q) => {
-                let src = sqlpp_syntax::print_query(q);
                 let result = if collect {
-                    let (_core, value, st) = self.run_with_stats(&src)?;
+                    let (_core, value, st) = self.run_ast_with_stats(q, 0)?;
                     stats = Some(st);
                     value
                 } else {
-                    self.query(&src)?.into_value()
+                    self.prepare_ast((**q).clone())?.execute(self)?.into_value()
                 };
                 match result {
                     Value::Bag(items) | Value::Array(items) => items,
@@ -108,9 +103,8 @@ impl Engine {
         };
         // Schema enforcement on write (all-or-nothing).
         if let Some(schema) = self.catalog().schema(&crate::Name::parse(&name)) {
-            let validator = Validator::new((*schema).clone());
             for (i, v) in new_elements.iter().enumerate() {
-                if !validator.is_valid_element(v) {
+                if !schema.admits(v) {
                     return Err(Error::Schema(format!(
                         "INSERT INTO {name}: element {i} ({}) does not conform \
                          to the attached schema {}",
@@ -164,7 +158,16 @@ impl Engine {
         let existing = self.catalog().get_str(&name)?;
         let (items, rebuild) = open_collection("DELETE", &name, (*existing).clone())?;
         let matcher = self.compile_row_predicate(&del.where_clause, &alias)?;
-        let evaluator = Evaluator::new(self.catalog(), self.dml_eval_config(collect));
+        // DML evaluation runs under the same governor as queries: budgets,
+        // deadlines, and injected faults abort the statement before its
+        // commit point, leaving the catalog untouched.
+        let evaluator = Evaluator::new(
+            self.catalog(),
+            EvalConfig {
+                collect_stats: collect,
+                ..self.eval_config()
+            },
+        );
         let mut kept = Vec::with_capacity(items.len());
         let mut deleted = 0usize;
         for item in items {
@@ -201,7 +204,13 @@ impl Engine {
             let attrs = assignment_path(path, &alias)?;
             compiled.push((attrs, self.compile_row_expr(value, &alias)?));
         }
-        let evaluator = Evaluator::new(self.catalog(), self.dml_eval_config(collect));
+        let evaluator = Evaluator::new(
+            self.catalog(),
+            EvalConfig {
+                collect_stats: collect,
+                ..self.eval_config()
+            },
+        );
         let mut updated_items = Vec::with_capacity(items.len());
         let mut updated = 0usize;
         let schema = self.catalog().schema(&crate::Name::parse(&name));
@@ -221,7 +230,7 @@ impl Engine {
                 element = set_path(element, attrs, value)?;
             }
             if let Some(schema) = &schema {
-                if !Validator::new((**schema).clone()).is_valid_element(&element) {
+                if !schema.admits(&element) {
                     return Err(Error::Schema(format!(
                         "UPDATE {name}: updated element does not conform to \
                          the attached schema {schema}"
@@ -233,23 +242,6 @@ impl Engine {
         }
         self.commit_collection(&name, rebuild(updated_items))?;
         Ok((updated, evaluator.stats_snapshot()))
-    }
-
-    fn dml_eval_config(&self, collect_stats: bool) -> EvalConfig {
-        EvalConfig {
-            typing: self.config().typing,
-            compat: self.config().compat,
-            pipeline_aggregates: self.config().pipeline_aggregates,
-            collect_stats,
-            // DML evaluation runs under the same governor as queries:
-            // budgets, deadlines, and injected faults abort the statement
-            // before its commit point, leaving the catalog untouched.
-            limits: self.config().limits.clone(),
-            fault: self.config().fault.clone(),
-            batch_size: self.config().batch_size,
-            compile_exprs: self.config().compile_exprs,
-            spill: self.config().spill.clone(),
-        }
     }
 
     /// Compiles a WHERE predicate with `alias` in scope; `None` matches
@@ -267,17 +259,7 @@ impl Engine {
         let mut scope = Scope::new();
         scope.push();
         scope.add(alias.to_string());
-        let block = QueryBlock::with_select(SelectClause::SelectValue {
-            quantifier: SetQuantifier::All,
-            expr: expr.clone(),
-        });
-        let q = Query {
-            ctes: Vec::new(),
-            body: SetExpr::Block(Box::new(block)),
-            order_by: Vec::new(),
-            limit: None,
-            offset: None,
-        };
+        let q = crate::select_value_shell(expr.clone());
         let config = PlanConfig {
             compat: self.config().compat,
             schemas: self.catalog().schema_snapshot(),
@@ -366,15 +348,4 @@ fn set_path(element: Value, attrs: &[String], value: Value) -> Result<Value> {
     let updated = set_path(inner, rest, value)?;
     t.upsert(first.clone(), updated);
     Ok(Value::Tuple(t))
-}
-
-/// Needed by exec_* above; re-exported from the schema validator.
-trait ValidatorExt {
-    fn is_valid_element(&self, v: &Value) -> bool;
-}
-
-impl ValidatorExt for Validator {
-    fn is_valid_element(&self, v: &Value) -> bool {
-        self.element_type().admits(v)
-    }
 }

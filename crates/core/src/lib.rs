@@ -55,7 +55,7 @@ use sqlpp_eval::{EvalConfig, Evaluator};
 use sqlpp_formats::csv::CsvOptions;
 use sqlpp_plan::{lower_query, optimize, CoreOp, CoreQuery, PlanConfig};
 use sqlpp_schema::{SqlppType, Validator};
-use sqlpp_syntax::ast::Statement;
+use sqlpp_syntax::ast::{Expr, Query, QueryBlock, SelectClause, SetExpr, SetQuantifier, Statement};
 use sqlpp_value::Value;
 
 pub use analyze::{diagnostics_for, render_error_report};
@@ -92,9 +92,9 @@ pub struct SessionConfig {
     pub limits: Limits,
     /// Fault-injection hook (chaos testing). `None` in production.
     pub fault: Option<FaultInjector>,
-    /// Rows moved per pipeline pull (vectorized execution). `1` forces
-    /// the row-at-a-time path everywhere — useful as a differential
-    /// baseline against the batched engine.
+    /// Rows moved per pipeline pull (vectorized execution). `1` pulls one
+    /// row per call everywhere — useful as a differential baseline
+    /// against full batches.
     pub batch_size: usize,
     /// Compile expressions to flat bytecode at plan time. Off, every
     /// expression goes through the tree-walking interpreter.
@@ -257,7 +257,7 @@ impl Engine {
         let parsed = sqlpp_syntax::parse_statement(src)?;
         let parse_ns = parse_start.elapsed().as_nanos() as u64;
         match parsed {
-            Statement::Query(_) => Ok(ExecOutcome::Rows(self.query(src)?)),
+            Statement::Query(q) => Ok(ExecOutcome::Rows(self.prepare_ast(q)?.execute(self)?)),
             Statement::Explain { analyze, query } => {
                 let text = if analyze {
                     let (core, _value, stats) = self.run_ast_with_stats(&query, parse_ns)?;
@@ -351,7 +351,11 @@ impl Engine {
     /// `Prepared` never executes against a schema snapshot older than the
     /// data it reads.
     pub fn prepare(&self, src: &str) -> Result<Prepared> {
-        let ast = sqlpp_syntax::parse_query(src)?;
+        self.prepare_ast(sqlpp_syntax::parse_query(src)?)
+    }
+
+    /// [`Engine::prepare`] for an already-parsed query.
+    fn prepare_ast(&self, ast: Query) -> Result<Prepared> {
         let (epoch, schemas) = self.catalog.schema_state();
         let config = PlanConfig {
             compat: self.config.compat,
@@ -373,7 +377,7 @@ impl Engine {
 
     /// Lowers (and optionally optimizes) a parsed query, timing each
     /// phase for [`ExecStats`].
-    fn lower_timed(&self, ast: &sqlpp_syntax::ast::Query) -> Result<(CoreQuery, u64, u64)> {
+    fn lower_timed(&self, ast: &Query) -> Result<(CoreQuery, u64, u64)> {
         let config = PlanConfig {
             compat: self.config.compat,
             schemas: self.catalog.schema_snapshot(),
@@ -422,7 +426,7 @@ impl Engine {
 
     fn run_ast_with_stats(
         &self,
-        ast: &sqlpp_syntax::ast::Query,
+        ast: &Query,
         parse_ns: u64,
     ) -> Result<(CoreQuery, Value, ExecStats)> {
         // Per-operator stats are keyed by the plan's pre-order index
@@ -483,7 +487,7 @@ impl Engine {
     }
 
     /// Lowers and typechecks a parsed query for [`Engine::check`].
-    fn check_query_ast(&self, src: &str, ast: &sqlpp_syntax::ast::Query) -> Vec<Diagnostic> {
+    fn check_query_ast(&self, src: &str, ast: &Query) -> Vec<Diagnostic> {
         match self.lower_timed(ast) {
             Ok((core, _, _)) => sqlpp_plan::typecheck(&core, &self.catalog.schema_snapshot())
                 .into_iter()
@@ -502,49 +506,26 @@ impl Engine {
 
     /// [`Engine::check`] for a bare expression: wraps it in the same
     /// `SELECT VALUE` shell [`Engine::eval_expr`] uses and analyzes that.
-    fn check_expr_ast(&self, src: &str, expr: sqlpp_syntax::ast::Expr) -> Vec<Diagnostic> {
-        use sqlpp_syntax::ast::{Query, QueryBlock, SelectClause, SetExpr, SetQuantifier};
-        let block = QueryBlock::with_select(SelectClause::SelectValue {
-            quantifier: SetQuantifier::All,
-            expr,
-        });
-        let q = Query {
-            ctes: Vec::new(),
-            body: SetExpr::Block(Box::new(block)),
-            order_by: Vec::new(),
-            limit: None,
-            offset: None,
-        };
-        self.check_query_ast(src, &q)
+    fn check_expr_ast(&self, src: &str, expr: Expr) -> Vec<Diagnostic> {
+        self.check_query_ast(src, &select_value_shell(expr))
     }
 
     /// Evaluates a standalone SQL++ *expression* (full composability:
     /// "subqueries can appear anywhere", and so can bare constructors like
     /// Listing 16's `{{ {'avgsal': COLL_AVG(SELECT VALUE …)} }}`).
     pub fn eval_expr(&self, src: &str) -> Result<Value> {
-        Ok(self.eval_expr_with(src, false)?.0)
+        let expr = sqlpp_syntax::parse_expr(src)?;
+        Ok(self.eval_expr_with(expr, false)?.0)
     }
 
     /// [`Engine::eval_expr`] with optional statistics collection (used by
     /// DML under [`Engine::execute_with_stats`]).
     pub(crate) fn eval_expr_with(
         &self,
-        src: &str,
+        expr: Expr,
         collect_stats: bool,
     ) -> Result<(Value, Option<ExecStats>)> {
-        use sqlpp_syntax::ast::{Query, QueryBlock, SelectClause, SetExpr, SetQuantifier};
-        let expr = sqlpp_syntax::parse_expr(src)?;
-        let block = QueryBlock::with_select(SelectClause::SelectValue {
-            quantifier: SetQuantifier::All,
-            expr,
-        });
-        let q = Query {
-            ctes: Vec::new(),
-            body: SetExpr::Block(Box::new(block)),
-            order_by: Vec::new(),
-            limit: None,
-            offset: None,
-        };
+        let q = select_value_shell(expr);
         let config = PlanConfig {
             compat: self.config.compat,
             schemas: self.catalog.schema_snapshot(),
@@ -595,10 +576,26 @@ impl Engine {
     }
 }
 
+/// `SELECT VALUE expr` with no FROM: the shell through which a bare
+/// expression reuses the query planner end to end.
+fn select_value_shell(expr: Expr) -> Query {
+    let block = QueryBlock::with_select(SelectClause::SelectValue {
+        quantifier: SetQuantifier::All,
+        expr,
+    });
+    Query {
+        ctes: Vec::new(),
+        body: SetExpr::Block(Box::new(block)),
+        order_by: Vec::new(),
+        limit: None,
+        offset: None,
+    }
+}
+
 /// Renders an `EXPLAIN ANALYZE` report: the operator tree with per-node
-/// `[streaming|materializing calls=… rows=… time=…]` annotations, then
-/// the phase/counter summary. Operators that buffered rows also show
-/// their high-water mark as `mat=…`.
+/// `[streaming|materializing calls=… rows=… batches=… time=…]`
+/// annotations, then the phase/counter summary. Operators that buffered
+/// rows also show their high-water mark as `mat=…`.
 fn render_analysis(core: &CoreQuery, stats: &ExecStats) -> String {
     // Stats are keyed by pre-order plan index; recover each rendered
     // node's index by walking the same pre-order.
@@ -627,11 +624,6 @@ fn render_analysis(core: &CoreQuery, stats: &ExecStats) -> String {
         } else {
             String::new()
         };
-        let pull = if s.batches > 0 {
-            format!(" batched batches={}", s.batches)
-        } else {
-            " row-at-a-time".to_string()
-        };
         let exprs = match s.expr_mode {
             sqlpp_eval::stats::ExprMode::None => String::new(),
             sqlpp_eval::stats::ExprMode::Bytecode => " expr=bytecode".to_string(),
@@ -639,12 +631,12 @@ fn render_analysis(core: &CoreQuery, stats: &ExecStats) -> String {
             sqlpp_eval::stats::ExprMode::Mixed => " expr=mixed".to_string(),
         };
         Some(format!(
-            " [{} calls={} rows={}{}{}{} time={}]",
+            " [{} calls={} rows={}{} batches={}{} time={}]",
             op.pipeline_class(),
             s.calls,
             s.rows_out,
             mat,
-            pull,
+            s.batches,
             exprs,
             fmt_ns(s.ns)
         ))

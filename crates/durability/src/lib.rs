@@ -36,7 +36,7 @@ pub mod snapshot;
 pub mod wal;
 
 use std::fmt;
-use std::fs::{File, OpenOptions};
+use std::fs::{File, OpenOptions, TryLockError};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -150,6 +150,12 @@ pub enum DurabilityError {
     /// the log refuses further writes until reopened (recovery will
     /// stop at the last valid frame).
     Poisoned,
+    /// Another open store holds the directory's write-ahead log: two
+    /// writers would interleave their appends and corrupt the log.
+    Locked {
+        /// The locked log file.
+        path: PathBuf,
+    },
 }
 
 impl DurabilityError {
@@ -185,6 +191,11 @@ impl fmt::Display for DurabilityError {
             DurabilityError::Poisoned => write!(
                 f,
                 "write-ahead log poisoned by an unrecoverable append failure; reopen to recover"
+            ),
+            DurabilityError::Locked { path } => write!(
+                f,
+                "write-ahead log {} is locked by another open store",
+                path.display()
             ),
         }
     }
@@ -277,9 +288,28 @@ impl DurableStore {
     /// loaded, the WAL tail above its LSN is replayed, and a torn final
     /// record is truncated away so subsequent appends extend a valid
     /// log. Returns the store plus everything recovery reconstructed.
+    ///
+    /// The store holds an exclusive lock on the log until it is dropped;
+    /// opening a directory that another store (in any process) holds
+    /// fails with [`DurabilityError::Locked`] before recovery touches
+    /// anything.
     pub fn open(config: DurabilityConfig) -> Result<(DurableStore, Recovered), DurabilityError> {
         let dir = config.dir;
         std::fs::create_dir_all(&dir).map_err(|e| DurabilityError::io("create-dir", &dir, &e))?;
+        let wal_path = dir.join(WAL_FILE);
+        let wal_existed = wal_path.exists();
+        let file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&wal_path)
+            .map_err(|e| DurabilityError::io("open", &wal_path, &e))?;
+        match file.try_lock() {
+            Ok(()) => {}
+            Err(TryLockError::WouldBlock) => {
+                return Err(DurabilityError::Locked { path: wal_path });
+            }
+            Err(TryLockError::Error(e)) => return Err(DurabilityError::io("lock", &wal_path, &e)),
+        }
 
         // A crash between snapshot write and rename leaves `.tmp`
         // orphans; they are unreferenced by definition.
@@ -322,13 +352,12 @@ impl DurableStore {
         };
 
         // Replay the WAL tail.
-        let wal_path = dir.join(WAL_FILE);
         let min_lsn = snap_lsn.unwrap_or(0);
         let mut last_lsn = min_lsn;
         let mut replayed = 0u64;
         let mut torn_tail = None;
         let mut valid_len = 0u64;
-        if wal_path.exists() {
+        if wal_existed {
             fault_check(config.fault.as_ref(), FaultSite::RecoveryRead)?;
             let data =
                 std::fs::read(&wal_path).map_err(|e| DurabilityError::io("read", &wal_path, &e))?;
@@ -342,13 +371,7 @@ impl DurableStore {
             torn_tail = scan.torn;
         }
 
-        // Truncate the torn tail so appends extend a valid log, then
-        // open for appending.
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&wal_path)
-            .map_err(|e| DurabilityError::io("open", &wal_path, &e))?;
+        // Truncate the torn tail so appends extend a valid log.
         if torn_tail.is_some() {
             file.set_len(valid_len)
                 .map_err(|e| DurabilityError::io("truncate", &wal_path, &e))?;

@@ -37,8 +37,8 @@ use crate::spill::{
 };
 use crate::stats::{ExecStats, StatsCollector};
 use crate::stream::{
-    boxed, empty, failed, from_vec, BindingStream, Governed, Instrumented, Limited, MatGauge,
-    Stream, TrackedBuffer, ValueStream, BATCH_TICK_ROWS, DEFAULT_BATCH_SIZE,
+    empty, failed, from_vec, pull_one, BindingStream, Concat, Filtered, Governed, Instrumented,
+    Limited, MatGauge, Stream, TrackedBuffer, ValueStream, BATCH_TICK_ROWS, DEFAULT_BATCH_SIZE,
 };
 
 /// Evaluator configuration.
@@ -64,9 +64,9 @@ pub struct EvalConfig {
     pub limits: Limits,
     /// Fault-injection hook for chaos testing. `None` in production.
     pub fault: Option<FaultInjector>,
-    /// How many bindings each pipeline pull moves at once. `1` forces the
-    /// row-at-a-time path everywhere (useful as a differential baseline);
-    /// the default amortizes dynamic dispatch, governor ticks, and stat
+    /// How many bindings each pipeline pull moves at once. `1` pulls one
+    /// row per call everywhere (useful as a differential baseline); the
+    /// default amortizes dynamic dispatch, governor ticks, and stat
     /// increments across [`DEFAULT_BATCH_SIZE`] rows.
     pub batch_size: usize,
     /// Compile plan expressions to flat bytecode once per run (with
@@ -469,7 +469,7 @@ impl<'a> Evaluator<'a> {
         match self.value_op(op, env) {
             Err(e) => failed(e),
             Ok(Value::Bag(items)) | Ok(Value::Array(items)) => from_vec(items),
-            Ok(single) => boxed(std::iter::once(Ok(single))),
+            Ok(single) => from_vec(vec![single]),
         }
     }
 
@@ -499,7 +499,6 @@ impl<'a> Evaluator<'a> {
                 expr,
                 inner: self.binding_stream(input, env),
                 buf: Vec::new(),
-                done: false,
             })),
             CoreOp::LimitOffset {
                 input,
@@ -549,10 +548,12 @@ impl<'a> Evaluator<'a> {
         env: &Env,
     ) -> ValueStream<'s> {
         match (set_op, all) {
-            (CoreSetOp::Union, true) => boxed(
-                self.element_stream(left, env)
-                    .chain(self.element_stream(right, env)),
-            ),
+            (CoreSetOp::Union, true) => {
+                let (parts, env) = ([left, right], env.clone());
+                Box::new(Concat::new(move |i: usize| {
+                    parts.get(i).map(|op| self.element_stream(op, &env))
+                }))
+            }
             (CoreSetOp::Union, false) => {
                 let mut buf =
                     TrackedBuffer::new(self.stats.as_ref(), self.mem_guard(), Some(whole));
@@ -584,31 +585,24 @@ impl<'a> Evaluator<'a> {
                 }
                 let mut pool = RightMultiset::new(rvals, self.stats.as_ref());
                 let keep_matched = set_op == CoreSetOp::Intersect;
-                let probe = self.element_stream(left, env).filter_map(move |v| {
-                    let _hold = &gauge; // build rows stay live while probing
-                    match v {
-                        Err(e) => Some(Err(e)),
-                        Ok(v) => {
-                            if pool.take(&v) == keep_matched {
-                                Some(Ok(v))
-                            } else {
-                                None
-                            }
-                        }
-                    }
-                });
+                let probe = Box::new(Filtered::new(
+                    self.element_stream(left, env),
+                    move |v: &Value| {
+                        let _hold = &gauge; // build rows stay live while probing
+                        Ok(pool.take(v) == keep_matched)
+                    },
+                ));
                 if all {
-                    boxed(probe)
-                } else {
-                    let mut out = Vec::new();
-                    for v in probe {
-                        match v {
-                            Ok(v) => out.push(v),
-                            Err(e) => return failed(e),
-                        }
-                    }
-                    from_vec(dedupe(out, self.stats.as_ref()))
+                    return probe;
                 }
+                let mut out = Vec::new();
+                if let Err(e) = drain_batched(probe, self.batch_size(), |v| {
+                    out.push(v);
+                    Ok(())
+                }) {
+                    return failed(e);
+                }
+                from_vec(dedupe(out, self.stats.as_ref()))
             }
         }
     }
@@ -637,15 +631,12 @@ impl<'a> Evaluator<'a> {
 
     fn binding_stream_inner<'s>(&'s self, op: &'s CoreOp, env: &Env) -> BindingStream<'s> {
         match op {
-            CoreOp::Single => boxed(std::iter::once(Ok(env.clone()))),
+            CoreOp::Single => from_vec(vec![env.clone()]),
             CoreOp::From { item } => self.from_stream(item, op, env),
-            CoreOp::Filter { input, pred } => Box::new(FilterStream {
-                ev: self,
-                pred,
-                inner: self.binding_stream(input, env),
-                buf: Vec::new(),
-                done: false,
-            }),
+            CoreOp::Filter { input, pred } => Box::new(Filtered::new(
+                self.binding_stream(input, env),
+                move |b: &Env| Ok(matches!(self.expr(pred, b)?, Value::Bool(true))),
+            )),
             CoreOp::Group {
                 input,
                 keys,
@@ -658,11 +649,9 @@ impl<'a> Evaluator<'a> {
             },
             CoreOp::Append { inputs } => {
                 let env = env.clone();
-                boxed(
-                    inputs
-                        .iter()
-                        .flat_map(move |i| self.binding_stream(i, &env)),
-                )
+                Box::new(Concat::new(move |i: usize| {
+                    inputs.get(i).map(|op| self.binding_stream(op, &env))
+                }))
             }
             CoreOp::Sort { input, keys } => match self.sort_bindings(op, input, keys, env) {
                 Ok(rows) => from_vec(rows),
@@ -1257,7 +1246,7 @@ impl<'a> Evaluator<'a> {
                 name_var,
             } => self.unpivot_stream(expr, value_var, name_var, env),
             CoreFrom::Let { expr, var } => match self.expr(expr, env) {
-                Ok(v) => boxed(std::iter::once(Ok(env.bind(var.clone(), v)))),
+                Ok(v) => from_vec(vec![env.bind(var.clone(), v)]),
                 Err(e) => failed(e),
             },
             CoreFrom::Correlate { left, right } => Box::new(CorrelateStream {
@@ -1265,8 +1254,8 @@ impl<'a> Evaluator<'a> {
                 right,
                 whole,
                 left: self.from_stream(left, whole, env),
+                lbuf: Vec::new(),
                 cur: None,
-                done: false,
             }),
             CoreFrom::Join {
                 kind,
@@ -1304,8 +1293,8 @@ impl<'a> Evaluator<'a> {
                         names,
                         build,
                         left: self.from_stream(left, whole, env),
+                        lbuf: Vec::new(),
                         pending: VecDeque::new(),
-                        done: false,
                     }),
                     // The optimizer's uncorrelated analysis is static and
                     // conservative, but a runtime `Global` can still
@@ -1703,8 +1692,7 @@ impl<'a> Evaluator<'a> {
             Value::Bag(items) => Box::new(OwnedScan {
                 ev: self,
                 items: items.into_iter(),
-                next_idx: 0,
-                is_array: false,
+                at: AtValue::Missing,
                 strict_bag_at: at_var.is_some()
                     && matches!(self.config.typing, TypingMode::StrictError),
                 as_var,
@@ -1714,8 +1702,7 @@ impl<'a> Evaluator<'a> {
             Value::Array(items) => Box::new(OwnedScan {
                 ev: self,
                 items: items.into_iter(),
-                next_idx: 0,
-                is_array: true,
+                at: AtValue::Index(0),
                 strict_bag_at: false,
                 as_var,
                 at_var,
@@ -1723,16 +1710,10 @@ impl<'a> Evaluator<'a> {
             }),
             Value::Missing => empty(),
             other => match self.config.typing {
-                TypingMode::Permissive => boxed(std::iter::once_with(move || {
-                    if let Some(st) = &self.stats {
-                        st.add_rows_scanned(1);
-                    }
-                    let mut e = env.bind(as_var, other);
-                    if let Some(at) = at_var {
-                        e = e.bind(at, Value::Missing);
-                    }
-                    Ok(e)
-                })),
+                // Permissively, any other value scans as a singleton bag.
+                TypingMode::Permissive => {
+                    self.scan_value_stream(Value::Bag(vec![other]), as_var, at_var, env)
+                }
                 TypingMode::StrictError => failed(EvalError::Type(format!(
                     "FROM source must be a collection, found {}",
                     other.kind().name()
@@ -1769,17 +1750,16 @@ impl<'a> Evaluator<'a> {
                 }
             },
         };
-        let value_var: Rc<str> = value_var.into();
-        let name_var: Rc<str> = name_var.into();
-        let env = env.clone();
-        boxed(tuple.into_iter().map(move |(name, value)| {
-            if let Some(st) = &self.stats {
-                st.add_rows_scanned(1);
-            }
-            Ok(env
-                .bind(value_var.clone(), value)
-                .bind(name_var.clone(), Value::Str(name)))
-        }))
+        let (names, values): (Vec<String>, Vec<Value>) = tuple.into_iter().unzip();
+        Box::new(OwnedScan {
+            ev: self,
+            items: values.into_iter(),
+            at: AtValue::Names(names.into_iter()),
+            strict_bag_at: false,
+            as_var: value_var.into(),
+            at_var: Some(name_var.into()),
+            env: env.clone(),
+        })
     }
 
     // =================================================================
@@ -2137,14 +2117,13 @@ impl<'a> Evaluator<'a> {
                         st.add_subquery_invocation();
                     }
                     let mut stream = self.element_stream(&plan.op, env);
-                    let first = match stream.next() {
-                        None => return Ok(Value::Null),
-                        Some(r) => r?,
+                    let mut buf = Vec::new();
+                    let Some(first) = pull_one(&mut stream, &mut buf)? else {
+                        return Ok(Value::Null);
                     };
-                    match stream.next() {
+                    match pull_one(&mut stream, &mut buf)? {
                         None => self.single_attr(&first),
-                        Some(Err(e)) => Err(e),
-                        Some(Ok(_)) => match self.config.typing {
+                        Some(_) => match self.config.typing {
                             TypingMode::Permissive => Ok(Value::Missing),
                             TypingMode::StrictError => Err(EvalError::Cardinality(
                                 "scalar subquery produced more than one row".to_string(),
@@ -2163,11 +2142,10 @@ impl<'a> Evaluator<'a> {
                     if let Some(st) = &self.stats {
                         st.add_subquery_invocation();
                     }
-                    match self.element_stream(&q.op, env).next() {
-                        None => Ok(Value::Bool(false)),
-                        Some(Err(e)) => Err(e),
-                        Some(Ok(_)) => Ok(Value::Bool(true)),
-                    }
+                    let mut stream = self.element_stream(&q.op, env);
+                    Ok(Value::Bool(
+                        pull_one(&mut stream, &mut Vec::new())?.is_some(),
+                    ))
                 } else {
                     let v = self.run_in(q, env)?;
                     match v.as_elements() {
@@ -2862,8 +2840,9 @@ impl<'a> Evaluator<'a> {
                     st.add_subquery_invocation();
                 }
                 let mut saw_absent = false;
-                for row in self.element_stream(&plan.op, env) {
-                    let item = self.single_attr(&row?)?;
+                let (mut stream, mut buf) = (self.element_stream(&plan.op, env), Vec::new());
+                while let Some(row) = pull_one(&mut stream, &mut buf)? {
+                    let item = self.single_attr(&row)?;
                     match sql_eq(&needle, &item) {
                         Value::Bool(true) => return Ok(Value::Bool(true)),
                         Value::Bool(false) => {}
@@ -3221,41 +3200,6 @@ struct SharedScan<'s, 'a> {
     env: Env,
 }
 
-impl<'s, 'a> Iterator for SharedScan<'s, 'a> {
-    type Item = Result<Env, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let (items, is_array) = match &*self.source {
-            Value::Bag(items) => (items, false),
-            Value::Array(items) => (items, true),
-            _ => unreachable!("SharedScan is only built over collections"),
-        };
-        let item = items.get(self.idx)?.clone();
-        let i = self.idx;
-        self.idx += 1;
-        if let Some(st) = &self.ev.stats {
-            st.add_rows_scanned(1);
-        }
-        let mut e = self.env.bind(self.as_var.clone(), item);
-        if let Some(at) = &self.at_var {
-            if is_array {
-                e = e.bind(at.clone(), Value::Int(i as i64));
-            } else {
-                // Bags are unordered: AT has no meaningful value.
-                match self.ev.config.typing {
-                    TypingMode::Permissive => e = e.bind(at.clone(), Value::Missing),
-                    TypingMode::StrictError => {
-                        return Some(Err(EvalError::Type(
-                            "AT position variable over an unordered bag".to_string(),
-                        )));
-                    }
-                }
-            }
-        }
-        Some(Ok(e))
-    }
-}
-
 impl<'s, 'a> Stream<Env> for SharedScan<'s, 'a> {
     fn next_batch(&mut self, out: &mut Vec<Env>, max: usize) -> Result<(), EvalError> {
         let (items, is_array) = match &*self.source {
@@ -3271,7 +3215,7 @@ impl<'s, 'a> Stream<Env> for SharedScan<'s, 'a> {
             && !is_array
             && matches!(self.ev.config.typing, TypingMode::StrictError)
         {
-            // The row path counts the pull before surfacing the AT error.
+            // The failing row counts as pulled, as in an owned scan.
             if let Some(st) = &self.ev.stats {
                 st.add_rows_scanned(1);
             }
@@ -3301,53 +3245,46 @@ impl<'s, 'a> Stream<Env> for SharedScan<'s, 'a> {
     }
 }
 
-/// An owned scan source (a computed collection): the batch path binds a
-/// whole run of elements per pull and amortizes the scan counter.
+/// An owned scan source (a computed collection, or an UNPIVOTed tuple's
+/// values): each pull binds a whole run of elements and amortizes the
+/// scan counter.
 struct OwnedScan<'s, 'a> {
     ev: &'s Evaluator<'a>,
     items: std::vec::IntoIter<Value>,
-    /// Position of the next element (AT values for arrays).
-    next_idx: usize,
-    is_array: bool,
+    at: AtValue,
     /// Strict mode refuses AT over an unordered bag — checked per pulled
-    /// row, after the scan counter, like the row path always did.
+    /// row, after the scan counter.
     strict_bag_at: bool,
     as_var: Rc<str>,
     at_var: Option<Rc<str>>,
     env: Env,
 }
 
+/// What an [`OwnedScan`] binds its AT variable to.
+enum AtValue {
+    /// The element's position (arrays): the next element's index.
+    Index(usize),
+    /// MISSING: bags are unordered.
+    Missing,
+    /// UNPIVOT: each value's attribute name, in step with the values.
+    Names(std::vec::IntoIter<String>),
+}
+
 impl<'s, 'a> OwnedScan<'s, 'a> {
-    fn bind_row(&self, item: Value, i: usize) -> Env {
+    fn bind_row(&mut self, item: Value) -> Env {
         let mut e = self.env.bind(self.as_var.clone(), item);
         if let Some(at) = &self.at_var {
-            let pos = if self.is_array {
-                Value::Int(i as i64)
-            } else {
-                Value::Missing
+            let pos = match &mut self.at {
+                AtValue::Index(i) => {
+                    *i += 1;
+                    Value::Int(*i as i64 - 1)
+                }
+                AtValue::Missing => Value::Missing,
+                AtValue::Names(names) => Value::Str(names.next().expect("one name per value")),
             };
             e = e.bind(at.clone(), pos);
         }
         e
-    }
-}
-
-impl<'s, 'a> Iterator for OwnedScan<'s, 'a> {
-    type Item = Result<Env, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let item = self.items.next()?;
-        if let Some(st) = &self.ev.stats {
-            st.add_rows_scanned(1);
-        }
-        if self.strict_bag_at {
-            return Some(Err(EvalError::Type(
-                "AT position variable over an unordered bag".to_string(),
-            )));
-        }
-        let i = self.next_idx;
-        self.next_idx += 1;
-        Some(Ok(self.bind_row(item, i)))
     }
 }
 
@@ -3357,9 +3294,7 @@ impl<'s, 'a> Stream<Env> for OwnedScan<'s, 'a> {
             return Ok(());
         }
         if self.strict_bag_at {
-            if self.items.next().is_none() {
-                return Ok(());
-            }
+            self.items.next();
             if let Some(st) = &self.ev.stats {
                 st.add_rows_scanned(1);
             }
@@ -3374,253 +3309,72 @@ impl<'s, 'a> Stream<Env> for OwnedScan<'s, 'a> {
         out.reserve(take);
         for _ in 0..take {
             let item = self.items.next().expect("length checked");
-            let i = self.next_idx;
-            self.next_idx += 1;
-            out.push(self.bind_row(item, i));
+            out.push(self.bind_row(item));
         }
         Ok(())
     }
 }
 
 /// `SELECT VALUE` as a stream: maps the projection over the input
-/// bindings. The batch path evaluates a whole pulled batch per call —
-/// the inner request passes `max` through, so a LIMIT above still bounds
-/// how much of the input is materialized.
+/// bindings, a whole pulled batch per call — the inner request passes
+/// `max` through, so a LIMIT above still bounds how much of the input is
+/// materialized.
 struct ProjectStream<'s, 'a> {
     ev: &'s Evaluator<'a>,
     expr: &'s CoreExpr,
     inner: BindingStream<'s>,
     buf: Vec<Env>,
-    done: bool,
-}
-
-impl<'s, 'a> Iterator for ProjectStream<'s, 'a> {
-    type Item = Result<Value, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        match self.inner.next() {
-            None => {
-                self.done = true;
-                None
-            }
-            Some(Err(e)) => {
-                self.done = true;
-                Some(Err(e))
-            }
-            Some(Ok(b)) => Some(self.ev.expr(self.expr, &b)),
-        }
-    }
 }
 
 impl<'s, 'a> Stream<Value> for ProjectStream<'s, 'a> {
     fn next_batch(&mut self, out: &mut Vec<Value>, max: usize) -> Result<(), EvalError> {
-        if self.done {
-            return Ok(());
-        }
         self.buf.clear();
-        let r = self.inner.next_batch(&mut self.buf, max);
-        let got = self.buf.len();
-        let mut err = None;
+        let pulled = self.inner.next_batch(&mut self.buf, max);
         for b in self.buf.drain(..) {
-            if err.is_some() {
-                break;
-            }
-            match self.ev.expr(self.expr, &b) {
-                Ok(v) => out.push(v),
-                Err(e) => err = Some(e),
-            }
+            out.push(self.ev.expr(self.expr, &b)?);
         }
-        if let Some(e) = err {
-            self.done = true;
-            return Err(e);
-        }
-        if let Err(e) = r {
-            self.done = true;
-            return Err(e);
-        }
-        if got == 0 {
-            self.done = true;
-        }
-        Ok(())
-    }
-}
-
-/// WHERE as a stream: keeps bindings whose predicate is exactly TRUE.
-/// The batch path filters a whole pulled batch per call, re-pulling
-/// until something passes or the input is exhausted (so callers see the
-/// protocol's "empty append means exhausted" invariant).
-struct FilterStream<'s, 'a> {
-    ev: &'s Evaluator<'a>,
-    pred: &'s CoreExpr,
-    inner: BindingStream<'s>,
-    buf: Vec<Env>,
-    done: bool,
-}
-
-impl<'s, 'a> Iterator for FilterStream<'s, 'a> {
-    type Item = Result<Env, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            match self.inner.next() {
-                None => {
-                    self.done = true;
-                    return None;
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-                Some(Ok(b)) => match self.ev.expr(self.pred, &b) {
-                    Ok(Value::Bool(true)) => return Some(Ok(b)),
-                    Ok(_) => {}
-                    Err(e) => {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                },
-            }
-        }
-    }
-}
-
-impl<'s, 'a> Stream<Env> for FilterStream<'s, 'a> {
-    fn next_batch(&mut self, out: &mut Vec<Env>, max: usize) -> Result<(), EvalError> {
-        if self.done {
-            return Ok(());
-        }
-        let start = out.len();
-        while out.len() == start {
-            self.buf.clear();
-            let r = self.inner.next_batch(&mut self.buf, max);
-            let got = self.buf.len();
-            let mut err = None;
-            for b in self.buf.drain(..) {
-                if err.is_some() {
-                    break;
-                }
-                match self.ev.expr(self.pred, &b) {
-                    Ok(Value::Bool(true)) => out.push(b),
-                    Ok(_) => {}
-                    Err(e) => err = Some(e),
-                }
-            }
-            if let Some(e) = err {
-                self.done = true;
-                return Err(e);
-            }
-            if let Err(e) = r {
-                self.done = true;
-                return Err(e);
-            }
-            if got == 0 {
-                self.done = true;
-                break;
-            }
-        }
-        Ok(())
+        pulled
     }
 }
 
 /// Left-correlated FROM product (comma lists, UNNEST): for each left
 /// binding, the right item streams in the extended environment. The
-/// batch path drains the current right stream batch-at-a-time; left rows
-/// still arrive one at a time (each re-opens the right side).
+/// current right stream drains batch-at-a-time; left rows arrive one per
+/// pull (each re-opens the right side), so a quota above never reads
+/// ahead on the left.
 struct CorrelateStream<'s, 'a> {
     ev: &'s Evaluator<'a>,
     right: &'s CoreFrom,
     whole: &'s CoreOp,
     left: BindingStream<'s>,
+    lbuf: Vec<Env>,
     cur: Option<BindingStream<'s>>,
-    done: bool,
-}
-
-impl<'s, 'a> Iterator for CorrelateStream<'s, 'a> {
-    type Item = Result<Env, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            if let Some(cur) = &mut self.cur {
-                match cur.next() {
-                    Some(Ok(b)) => return Some(Ok(b)),
-                    Some(Err(e)) => {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                    None => self.cur = None,
-                }
-            }
-            match self.left.next() {
-                None => {
-                    self.done = true;
-                    return None;
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-                Some(Ok(l)) => {
-                    self.cur = Some(self.ev.from_stream(self.right, self.whole, &l));
-                }
-            }
-        }
-    }
 }
 
 impl<'s, 'a> Stream<Env> for CorrelateStream<'s, 'a> {
     fn next_batch(&mut self, out: &mut Vec<Env>, max: usize) -> Result<(), EvalError> {
-        if self.done {
-            return Ok(());
-        }
         let start = out.len();
-        loop {
-            if out.len() - start >= max {
-                return Ok(());
-            }
-            if let Some(cur) = self.cur.as_mut() {
+        while out.len() - start < max {
+            if let Some(cur) = &mut self.cur {
                 let before = out.len();
-                let want = max - (before - start);
-                let r = cur.next_batch(out, want);
-                let exhausted = out.len() == before;
-                if let Err(e) = r {
-                    self.done = true;
-                    return Err(e);
-                }
-                if exhausted {
+                cur.next_batch(out, max - (before - start))?;
+                if out.len() == before {
                     self.cur = None;
                 }
                 continue;
             }
-            match self.left.next() {
-                None => {
-                    self.done = true;
-                    return Ok(());
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Err(e);
-                }
-                Some(Ok(l)) => {
-                    self.cur = Some(self.ev.from_stream(self.right, self.whole, &l));
-                }
+            match pull_one(&mut self.left, &mut self.lbuf)? {
+                None => break,
+                Some(l) => self.cur = Some(self.ev.from_stream(self.right, self.whole, &l)),
             }
         }
+        Ok(())
     }
 }
 
-/// Fully drains a stream through the batch protocol, calling `f` per
-/// row — the batched replacement for a `for` loop over the stream. Rows
-/// that arrived before a mid-batch error are processed first, matching
-/// the row-at-a-time order of effects exactly.
+/// Fully drains a stream, calling `f` per row. Rows that arrived before
+/// a mid-batch error are processed first, so the order of effects is the
+/// same at every batch size.
 fn drain_batched<T>(
     mut stream: Box<dyn Stream<T> + '_>,
     batch_size: usize,
@@ -3689,11 +3443,46 @@ enum RowTest<'s> {
     },
 }
 
+impl<'s> RowTest<'s> {
+    fn passes(&self, ev: &Evaluator<'_>, r: &Env) -> Result<bool, EvalError> {
+        match self {
+            RowTest::On(on) => Ok(matches!(ev.expr(on, r)?, Value::Bool(true))),
+            RowTest::Split {
+                keys,
+                left_pred,
+                right_pred,
+                residual,
+            } => {
+                for p in [left_pred, right_pred].into_iter().flatten() {
+                    if !matches!(ev.expr(p, r)?, Value::Bool(true)) {
+                        return Ok(false);
+                    }
+                }
+                for (lk, rk) in keys.iter() {
+                    let a = ev.expr(lk, r)?;
+                    let b = ev.expr(rk, r)?;
+                    if !matches!(sql_eq(&a, &b), Value::Bool(true)) {
+                        return Ok(false);
+                    }
+                }
+                if let Some(p) = residual {
+                    if !matches!(ev.expr(p, r)?, Value::Bool(true)) {
+                        return Ok(false);
+                    }
+                }
+                Ok(true)
+            }
+        }
+    }
+}
+
 /// Streaming nested-loop join: pulls left rows one at a time, re-opens
 /// the right stream per left row, and emits matches as they are found —
-/// a LIMIT above the join stops both scans mid-flight. LEFT joins pad
-/// the right-side variables with NULL when a left row's right stream
-/// drains without a match.
+/// a LIMIT above the join stops both scans mid-flight. Right rows arrive
+/// in batches bounded by the caller's remaining quota (each yields at
+/// most one output row, so that never over-pulls). LEFT joins pad the
+/// right-side variables with NULL when a left row's right stream drains
+/// without a match.
 struct NestedLoop<'s, 'a> {
     ev: &'s Evaluator<'a>,
     kind: CoreJoinKind,
@@ -3705,8 +3494,9 @@ struct NestedLoop<'s, 'a> {
     /// The left row currently probing: its env, its right stream, and
     /// whether it has matched yet.
     cur: Option<(Env, BindingStream<'s>, bool)>,
+    lbuf: Vec<Env>,
+    rbuf: Vec<Env>,
     scanned: bool,
-    done: bool,
 }
 
 impl<'s, 'a> NestedLoop<'s, 'a> {
@@ -3728,135 +3518,64 @@ impl<'s, 'a> NestedLoop<'s, 'a> {
             names,
             test,
             cur: None,
+            lbuf: Vec::new(),
+            rbuf: Vec::new(),
             scanned: false,
-            done: false,
         }
-    }
-
-    fn passes(&self, r: &Env) -> Result<bool, EvalError> {
-        match &self.test {
-            RowTest::On(on) => Ok(matches!(self.ev.expr(on, r)?, Value::Bool(true))),
-            RowTest::Split {
-                keys,
-                left_pred,
-                right_pred,
-                residual,
-            } => {
-                for p in [left_pred, right_pred].into_iter().flatten() {
-                    if !matches!(self.ev.expr(p, r)?, Value::Bool(true)) {
-                        return Ok(false);
-                    }
-                }
-                for (lk, rk) in keys.iter() {
-                    let a = self.ev.expr(lk, r)?;
-                    let b = self.ev.expr(rk, r)?;
-                    if !matches!(sql_eq(&a, &b), Value::Bool(true)) {
-                        return Ok(false);
-                    }
-                }
-                if let Some(p) = residual {
-                    if !matches!(self.ev.expr(p, r)?, Value::Bool(true)) {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-        }
-    }
-
-    fn pad(&self, l: &Env) -> Env {
-        // SQL left join: unmatched rows pad the right-side variables
-        // with NULL.
-        let mut padded = l.clone();
-        for name in &self.names {
-            padded = padded.bind(name.clone(), Value::Null);
-        }
-        padded
     }
 }
 
-impl<'s, 'a> Iterator for NestedLoop<'s, 'a> {
-    type Item = Result<Env, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            // The inner loop can spin through many right rows without
-            // emitting (no matches), so it ticks the deadline itself —
-            // the per-pull wrapper outside never sees those iterations.
-            if let Some(g) = self.ev.govern.as_watcher() {
-                if let Err(e) = g.tick() {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            }
-            if self.cur.is_some() {
-                // Pull the next right row in a scope of its own, so the
-                // test below can borrow `self` again.
-                let step = {
-                    let (_, rights, _) = self.cur.as_mut().expect("checked above");
-                    rights.next()
+impl<'s, 'a> Stream<Env> for NestedLoop<'s, 'a> {
+    fn next_batch(&mut self, out: &mut Vec<Env>, max: usize) -> Result<(), EvalError> {
+        // The loop can spin through many right rows without emitting (no
+        // matches), so it ticks the deadline itself — once per left pull,
+        // per right row, and per drained right side — where the per-pull
+        // wrapper outside sees only whole batches.
+        let watcher = self.ev.govern.as_watcher();
+        let tick = || watcher.map_or(Ok(()), |g| g.tick());
+        let start = out.len();
+        while out.len() - start < max {
+            let Some((lenv, rights, matched)) = &mut self.cur else {
+                tick()?;
+                let Some(l) = pull_one(&mut self.left, &mut self.lbuf)? else {
+                    break;
                 };
-                match step {
-                    Some(Err(e)) => {
-                        self.done = true;
-                        return Some(Err(e));
+                if self.scanned {
+                    if let Some(st) = &self.ev.stats {
+                        st.add_right_rescans(1);
                     }
-                    Some(Ok(r)) => {
-                        if let Some(st) = &self.ev.stats {
-                            st.add_join_probes(1);
-                        }
-                        match self.passes(&r) {
-                            Err(e) => {
-                                self.done = true;
-                                return Some(Err(e));
-                            }
-                            Ok(true) => {
-                                self.cur.as_mut().expect("checked above").2 = true;
-                                return Some(Ok(r));
-                            }
-                            Ok(false) => continue,
-                        }
-                    }
-                    None => {
-                        let (lenv, _, matched) = self.cur.take().expect("checked above");
-                        if !matched && self.kind == CoreJoinKind::Left {
-                            return Some(Ok(self.pad(&lenv)));
-                        }
-                        continue;
-                    }
+                }
+                let rights = self.ev.from_stream(self.right, self.whole, &l);
+                self.scanned = true;
+                self.cur = Some((l, rights, false));
+                continue;
+            };
+            self.rbuf.clear();
+            let pulled = rights.next_batch(&mut self.rbuf, max - (out.len() - start));
+            if self.rbuf.is_empty() {
+                pulled?;
+                tick()?;
+                if !*matched && self.kind == CoreJoinKind::Left {
+                    out.push(pad_left(lenv, &self.names));
+                }
+                self.cur = None;
+                continue;
+            }
+            for r in self.rbuf.drain(..) {
+                tick()?;
+                if let Some(st) = &self.ev.stats {
+                    st.add_join_probes(1);
+                }
+                if self.test.passes(self.ev, &r)? {
+                    *matched = true;
+                    out.push(r);
                 }
             }
-            match self.left.next() {
-                None => {
-                    self.done = true;
-                    return None;
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-                Some(Ok(l)) => {
-                    if self.scanned {
-                        if let Some(st) = &self.ev.stats {
-                            st.add_right_rescans(1);
-                        }
-                    }
-                    let rights = self.ev.from_stream(self.right, self.whole, &l);
-                    self.scanned = true;
-                    self.cur = Some((l, rights, false));
-                }
-            }
+            pulled?;
         }
+        Ok(())
     }
 }
-
-// The nested-loop join stays row-at-a-time even under batching: each
-// produced row can re-open the right side, so there is no run of work to
-// amortize — the default shim preserves its per-row tick semantics.
-impl<'s, 'a> Stream<Env> for NestedLoop<'s, 'a> {}
 
 /// Streaming hash-join probe: the build side is already materialized
 /// (tracked live by its gauge); left rows are pulled one at a time and
@@ -3870,10 +3589,10 @@ struct HashProbe<'s, 'a> {
     names: Vec<Rc<str>>,
     build: JoinBuild<'s>,
     left: BindingStream<'s>,
+    lbuf: Vec<Env>,
     /// Rows produced by the current left row, drained before pulling the
     /// next one.
     pending: VecDeque<Env>,
-    done: bool,
 }
 
 impl<'s, 'a> HashProbe<'s, 'a> {
@@ -3932,46 +3651,6 @@ impl<'s, 'a> HashProbe<'s, 'a> {
     }
 }
 
-impl<'s, 'a> Iterator for HashProbe<'s, 'a> {
-    type Item = Result<Env, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(e) = self.pending.pop_front() {
-                return Some(Ok(e));
-            }
-            if self.done {
-                return None;
-            }
-            match self.left.next() {
-                None => {
-                    self.done = true;
-                    return None;
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-                Some(Ok(l)) => match self.probe(&l) {
-                    Err(e) => {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                    Ok(matched) => {
-                        if !matched && self.kind == CoreJoinKind::Left {
-                            let mut padded = l.clone();
-                            for name in &self.names {
-                                padded = padded.bind(name.clone(), Value::Null);
-                            }
-                            self.pending.push_back(padded);
-                        }
-                    }
-                },
-            }
-        }
-    }
-}
-
 impl<'s, 'a> Stream<Env> for HashProbe<'s, 'a> {
     fn next_batch(&mut self, out: &mut Vec<Env>, max: usize) -> Result<(), EvalError> {
         let start = out.len();
@@ -3982,43 +3661,21 @@ impl<'s, 'a> Stream<Env> for HashProbe<'s, 'a> {
                 };
                 out.push(e);
             }
-            if out.len() - start >= max || self.done {
+            if out.len() - start >= max {
                 return Ok(());
             }
-            // The left side is still pulled one row at a time: a LIMIT
-            // above the join must be able to stop the left scan early.
-            match self.left.next() {
-                None => {
-                    self.done = true;
-                    return Ok(());
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Err(e);
-                }
-                Some(Ok(l)) => match self.probe(&l) {
-                    Err(e) => {
-                        self.done = true;
-                        return Err(e);
-                    }
-                    Ok(matched) => {
-                        if !matched && self.kind == CoreJoinKind::Left {
-                            let mut padded = l.clone();
-                            for name in &self.names {
-                                padded = padded.bind(name.clone(), Value::Null);
-                            }
-                            self.pending.push_back(padded);
-                        }
-                    }
-                },
+            // The left side is pulled one row at a time: a LIMIT above the
+            // join must be able to stop the left scan early.
+            let Some(l) = pull_one(&mut self.left, &mut self.lbuf)? else {
+                return Ok(());
+            };
+            if !self.probe(&l)? && self.kind == CoreJoinKind::Left {
+                self.pending.push_back(pad_left(&l, &self.names));
             }
         }
     }
 }
 
-/// Extends a left-row environment with the right side's variables from a
-/// matched build row — the same bindings, in the same order, that
-/// evaluating the right side under `l` would have produced.
 /// SQL left join: unmatched probe rows pad the right-side variables with
 /// NULL.
 fn pad_left(l: &Env, right_vars: &[std::rc::Rc<str>]) -> Env {
@@ -4029,6 +3686,9 @@ fn pad_left(l: &Env, right_vars: &[std::rc::Rc<str>]) -> Env {
     padded
 }
 
+/// Extends a left-row environment with the right side's variables from a
+/// matched build row — the same bindings, in the same order, that
+/// evaluating the right side under `l` would have produced.
 fn combine_envs(l: &Env, r: &Env, right_vars: &[std::rc::Rc<str>]) -> Env {
     let mut out = l.clone();
     for name in right_vars {
@@ -4416,9 +4076,13 @@ mod tests {
 
     /// Runs `Limited` over an infallible source, collecting the output.
     fn limited(items: Vec<i32>, lim: Option<usize>, off: usize) -> Vec<i32> {
-        Limited::new(items.into_iter().map(Ok::<i32, EvalError>), off, lim)
-            .collect::<Result<Vec<i32>, EvalError>>()
-            .unwrap()
+        let mut out = Vec::new();
+        drain_batched(Box::new(Limited::new(from_vec(items), off, lim)), 2, |v| {
+            out.push(v);
+            Ok(())
+        })
+        .unwrap();
+        out
     }
 
     #[test]

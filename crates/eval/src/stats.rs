@@ -50,8 +50,8 @@ pub struct OpStats {
     /// High-water mark of rows this operator held materialized at once
     /// (zero for fully streaming operators).
     pub peak_rows: u64,
-    /// Batches the operator emitted through the batch pull protocol —
-    /// zero means every pull was row-at-a-time.
+    /// Non-empty batches the operator emitted (at least one whenever it
+    /// emitted a row; one per row when its consumer pulls row by row).
     pub batches: u64,
     /// Whether this operator's expressions ran as bytecode or tree-walk.
     pub expr_mode: ExprMode,
@@ -130,8 +130,7 @@ pub struct ExecStats {
     /// included — at least 1 whenever a sort spilled, more when the
     /// run count exceeded the merge fan-in (zero without spilling).
     pub merge_passes: u64,
-    /// Non-empty batches emitted through the batch pull protocol across
-    /// all instrumented operators (zero for a fully row-at-a-time run).
+    /// Non-empty batches emitted across all instrumented operators.
     pub batches_produced: u64,
     /// Expressions compiled to bytecode for this run.
     pub exprs_compiled: u64,

@@ -1,22 +1,17 @@
-//! Pull-based streams: the lazy iterator layer under the interpreter.
+//! Pull-based streams: the lazy batch layer under the interpreter.
 //!
 //! The paper's Pseudocodes 1–2 define clause semantics as *iteration* over
 //! binding environments; this module gives the interpreter that shape at
-//! runtime. A [`BindingStream`] (or [`ValueStream`]) yields one row per
-//! `next()`, so `LIMIT`, `EXISTS`, `IN`, and scalar-subquery coercion stop
-//! pulling as soon as they have what they need — instead of truncating a
-//! fully materialized `Vec`.
-//!
-//! On top of the row protocol sits a *batch* protocol: [`Stream::next_batch`]
-//! appends up to `max` rows into a caller-owned buffer in one virtual call,
-//! so full-consumption operators (projection, sort fill, aggregation,
-//! DISTINCT) amortize dynamic dispatch, governor ticks, and stat increments
-//! across ~[`DEFAULT_BATCH_SIZE`] rows instead of paying them per row. Every
-//! adapter gets a row-at-a-time shim for free (the trait's default method),
-//! so unported adapters keep working; hot adapters override it. Quota-aware
-//! consumers (`LIMIT k`) pass a small `max`, which keeps the scan-pull
-//! guarantees (B12) intact: a batched stream never pulls more than `max`
-//! rows per call from its input.
+//! runtime with one pull protocol. [`Stream::next_batch`] appends up to
+//! `max` rows into a caller-owned buffer in one virtual call, so
+//! full-consumption operators (projection, sort fill, aggregation,
+//! DISTINCT) amortize dynamic dispatch, governor ticks, and stat
+//! increments across ~[`DEFAULT_BATCH_SIZE`] rows. Quota-aware consumers
+//! pass a small `max` instead: `LIMIT k` asks for at most the rows it
+//! still needs, and `EXISTS`, scalar-subquery coercion, `IN`, and the left
+//! side of every join pull through [`pull_one`] — so they stop pulling as
+//! soon as they have what they need, and a stream never pulls more than
+//! `max` rows per call from its input (the B12 scan-pull guarantees).
 //!
 //! True pipeline breakers (ORDER BY, GROUP BY, window, DISTINCT, hash-join
 //! and set-op build sides) still buffer, but only ever through
@@ -24,12 +19,11 @@
 //! gauge and per-operator high-water counters in
 //! [`crate::ExecStats`] — the future spill point.
 //!
-//! Error convention: a stream that yields `Err` is *finished*; consumers
-//! must stop pulling after the first error, and streams make no promise
-//! about what further `next()` calls return. For `next_batch` the same
-//! convention holds batch-wise: on `Err` the buffer holds the valid rows
-//! produced *before* the error (in pull order), and the stream is finished.
-//! A call that appends zero rows and returns `Ok` means exhaustion.
+//! Protocol: a call that appends zero rows and returns `Ok` means
+//! exhaustion; a short batch does not. On `Err` the buffer holds the valid
+//! rows produced *before* the error (in pull order), and the stream is
+//! finished: consumers must stop pulling, and streams make no promise
+//! about what further calls return.
 
 use std::time::Instant;
 
@@ -48,24 +42,13 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 /// many rows so one huge batch cannot blow past a deadline unchecked.
 pub(crate) const BATCH_TICK_ROWS: usize = 64;
 
-/// A pull stream with both a row protocol (the `Iterator` supertrait) and
-/// a batch protocol. Implementors override `next_batch` when they can
-/// produce rows in bulk cheaper than `max` virtual `next()` calls.
-pub(crate) trait Stream<T>: Iterator<Item = Result<T, EvalError>> {
+/// A pull stream of `T` rows.
+pub(crate) trait Stream<T> {
     /// Appends up to `max` rows to `out`. Appending zero rows (with `Ok`)
     /// means the stream is exhausted; fewer than `max` rows does *not*.
     /// On `Err` the rows appended before the error are valid and the
     /// stream is finished.
-    fn next_batch(&mut self, out: &mut Vec<T>, max: usize) -> Result<(), EvalError> {
-        for _ in 0..max {
-            match self.next() {
-                None => break,
-                Some(Ok(v)) => out.push(v),
-                Some(Err(e)) => return Err(e),
-            }
-        }
-        Ok(())
-    }
+    fn next_batch(&mut self, out: &mut Vec<T>, max: usize) -> Result<(), EvalError>;
 }
 
 impl<T, S: Stream<T> + ?Sized> Stream<T> for Box<S> {
@@ -74,57 +57,47 @@ impl<T, S: Stream<T> + ?Sized> Stream<T> for Box<S> {
     }
 }
 
-/// Adapts any plain iterator into a [`Stream`] via the row-at-a-time shim.
-pub(crate) struct Rows<I>(pub(crate) I);
-
-impl<I, T> Iterator for Rows<I>
-where
-    I: Iterator<Item = Result<T, EvalError>>,
-{
-    type Item = Result<T, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.0.next()
-    }
-}
-
-impl<I, T> Stream<T> for Rows<I> where I: Iterator<Item = Result<T, EvalError>> {}
-
 /// A lazy stream of binding environments.
 pub(crate) type BindingStream<'s> = Box<dyn Stream<Env> + 's>;
 
 /// A lazy stream of output values (elements of a bag under construction).
 pub(crate) type ValueStream<'s> = Box<dyn Stream<Value> + 's>;
 
-/// Boxes a plain iterator as a stream (row-at-a-time batch shim).
-pub(crate) fn boxed<'s, T: 's>(
-    it: impl Iterator<Item = Result<T, EvalError>> + 's,
-) -> Box<dyn Stream<T> + 's> {
-    Box::new(Rows(it))
+/// Pulls at most one row (`None` once the stream is exhausted): the
+/// bounded pull of consumers that must not read ahead. `buf` is scratch
+/// the caller reuses across pulls.
+pub(crate) fn pull_one<T>(
+    stream: &mut (impl Stream<T> + ?Sized),
+    buf: &mut Vec<T>,
+) -> Result<Option<T>, EvalError> {
+    buf.clear();
+    stream.next_batch(buf, 1)?;
+    Ok(buf.pop())
 }
 
-/// A stream that has already failed: yields the error once, then ends.
+/// Reports its error once, then ends.
+struct Failed(Option<EvalError>);
+
+impl<T> Stream<T> for Failed {
+    fn next_batch(&mut self, _out: &mut Vec<T>, _max: usize) -> Result<(), EvalError> {
+        self.0.take().map_or(Ok(()), Err)
+    }
+}
+
+/// A stream that has already failed.
 pub(crate) fn failed<'s, T: 's>(e: EvalError) -> Box<dyn Stream<T> + 's> {
-    boxed(std::iter::once(Err(e)))
+    Box::new(Failed(Some(e)))
 }
 
 /// The empty stream.
 pub(crate) fn empty<'s, T: 's>() -> Box<dyn Stream<T> + 's> {
-    boxed(std::iter::empty())
+    from_vec(Vec::new())
 }
 
-/// Streams an already-materialized vector, batch-aware: a `next_batch`
-/// moves a whole chunk without per-row dispatch.
-pub(crate) struct VecStream<T> {
+/// Streams an already-materialized vector: a `next_batch` moves a whole
+/// chunk without per-row dispatch.
+struct VecStream<T> {
     items: std::vec::IntoIter<T>,
-}
-
-impl<T> Iterator for VecStream<T> {
-    type Item = Result<T, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.items.next().map(Ok)
-    }
 }
 
 impl<T> Stream<T> for VecStream<T> {
@@ -141,11 +114,107 @@ pub(crate) fn from_vec<'s, T: 's>(items: Vec<T>) -> Box<dyn Stream<T> + 's> {
     })
 }
 
+/// Lazy concatenation (UNION ALL, the grouping-set `Append`): `open(i)`
+/// builds part `i`, and is called only once part `i - 1` is exhausted, so
+/// a quota met early never constructs the later parts. `open` returns
+/// `None` past the last part.
+pub(crate) struct Concat<F, S> {
+    open: F,
+    next: usize,
+    cur: Option<S>,
+}
+
+impl<F, S> Concat<F, S> {
+    pub(crate) fn new(open: F) -> Self {
+        Concat {
+            open,
+            next: 0,
+            cur: None,
+        }
+    }
+}
+
+impl<T, S, F> Stream<T> for Concat<F, S>
+where
+    S: Stream<T>,
+    F: FnMut(usize) -> Option<S>,
+{
+    fn next_batch(&mut self, out: &mut Vec<T>, max: usize) -> Result<(), EvalError> {
+        let start = out.len();
+        while out.len() - start < max {
+            if self.cur.is_none() {
+                self.cur = (self.open)(self.next);
+                self.next += 1;
+            }
+            let Some(cur) = &mut self.cur else {
+                break;
+            };
+            let before = out.len();
+            cur.next_batch(out, max - (before - start))?;
+            if out.len() == before {
+                self.cur = None;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Keeps the rows `keep` accepts (WHERE; the INTERSECT/EXCEPT ALL probe
+/// side). `keep` sees every pulled row exactly once, in pull order. A call
+/// re-pulls until something passes or the input is exhausted, so an empty
+/// append still means exhaustion; each inner pull asks for at most `max`
+/// rows, and every row yields at most one output, so a quota above never
+/// makes the input over-pull.
+pub(crate) struct Filtered<S, F> {
+    inner: S,
+    keep: F,
+}
+
+impl<S, F> Filtered<S, F> {
+    pub(crate) fn new(inner: S, keep: F) -> Self {
+        Filtered { inner, keep }
+    }
+}
+
+impl<T, S, F> Stream<T> for Filtered<S, F>
+where
+    S: Stream<T>,
+    F: FnMut(&T) -> Result<bool, EvalError>,
+{
+    fn next_batch(&mut self, out: &mut Vec<T>, max: usize) -> Result<(), EvalError> {
+        let start = out.len();
+        loop {
+            let pulled = self.inner.next_batch(out, max);
+            let got = out.len() - start;
+            // Compact the survivors to the front of the new rows, in order.
+            let mut kept = start;
+            for i in start..out.len() {
+                match (self.keep)(&out[i]) {
+                    Ok(true) => {
+                        out.swap(kept, i);
+                        kept += 1;
+                    }
+                    Ok(false) => {}
+                    Err(e) => {
+                        out.truncate(kept);
+                        return Err(e);
+                    }
+                }
+            }
+            out.truncate(kept);
+            pulled?;
+            if got == 0 || kept > start {
+                return Ok(());
+            }
+        }
+    }
+}
+
 /// LIMIT/OFFSET as a stream adapter: skips `offset` rows, then yields at
 /// most `limit`, and — crucially — stops *pulling* from its input once the
-/// quota is met. Errors pass through without consuming quota. The batch
-/// path bounds every inner pull by `remaining skip + remaining quota`, so
-/// batching never over-pulls a limited scan.
+/// quota is met. Errors pass through without consuming quota. Every inner
+/// pull is bounded by `remaining skip + remaining quota`, so batching
+/// never over-pulls a limited scan.
 pub(crate) struct Limited<I> {
     inner: I,
     skip: usize,
@@ -158,37 +227,6 @@ impl<I> Limited<I> {
             inner,
             skip: offset,
             take: limit,
-        }
-    }
-}
-
-impl<I, T> Iterator for Limited<I>
-where
-    I: Iterator<Item = Result<T, EvalError>>,
-{
-    type Item = Result<T, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.take == Some(0) {
-                return None;
-            }
-            match self.inner.next()? {
-                Err(e) => {
-                    self.take = Some(0);
-                    return Some(Err(e));
-                }
-                Ok(item) => {
-                    if self.skip > 0 {
-                        self.skip -= 1;
-                        continue;
-                    }
-                    if let Some(t) = &mut self.take {
-                        *t -= 1;
-                    }
-                    return Some(Ok(item));
-                }
-            }
         }
     }
 }
@@ -234,8 +272,8 @@ where
 /// and wall time spent inside this operator's pulls (inclusive of
 /// children, as the tree renderer expects), recording one "call" when
 /// dropped. Only constructed when stats collection is on, so the ordinary
-/// path carries no timer at all. A batched pull pays one timer sample per
-/// batch — this is where per-row stat overhead amortizes.
+/// path carries no timer at all. A pull pays one timer sample per batch —
+/// this is where per-row stat overhead amortizes.
 pub(crate) struct Instrumented<'s, I> {
     inner: I,
     stats: &'s StatsCollector,
@@ -263,23 +301,6 @@ impl<'s, I> Instrumented<'s, I> {
             ns: 0,
             count_bindings,
         }
-    }
-}
-
-impl<'s, I, T> Iterator for Instrumented<'s, I>
-where
-    I: Iterator<Item = Result<T, EvalError>>,
-{
-    type Item = Result<T, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let t = Instant::now();
-        let item = self.inner.next();
-        self.ns += t.elapsed().as_nanos() as u64;
-        if matches!(item, Some(Ok(_))) {
-            self.rows += 1;
-        }
-        item
     }
 }
 
@@ -458,18 +479,16 @@ impl<'s, T> TrackedBuffer<'s, T> {
     }
 }
 
-/// Deadline/cancellation enforcement as a stream adapter: every `next()`
+/// Deadline/cancellation enforcement as a stream adapter: every pull
 /// ticks the governor (a counter bump, with a real clock/token inspection
-/// only at the amortized interval) before pulling the inner stream. Only
-/// constructed when a deadline or token is attached, so ungoverned pulls
-/// carry no overhead. Fused: after the inner stream ends or errors, no
-/// further governor errors are manufactured.
-///
-/// A batched pull ticks once up front and then once per
-/// [`BATCH_TICK_ROWS`] rows the batch produced, so a full batch can never
-/// advance the pipeline by more than 64 rows between deadline/cancel
-/// observations — while the *real* clock/token inspection still amortizes
-/// to roughly once per 4096 rows.
+/// only at the amortized interval) before pulling the inner stream, and
+/// then once per [`BATCH_TICK_ROWS`] rows the batch produced, so a full
+/// batch can never advance the pipeline by more than 64 rows between
+/// deadline/cancel observations — while the *real* clock/token inspection
+/// still amortizes to roughly once per 4096 rows. Only constructed when a
+/// deadline or token is attached, so ungoverned pulls carry no overhead.
+/// Fused: after the inner stream ends or errors, no further governor
+/// errors are manufactured.
 pub(crate) struct Governed<'s, I> {
     inner: I,
     govern: &'s ResourceGovernor,
@@ -483,29 +502,6 @@ impl<'s, I> Governed<'s, I> {
             govern,
             done: false,
         }
-    }
-}
-
-impl<'s, I, T> Iterator for Governed<'s, I>
-where
-    I: Iterator<Item = Result<T, EvalError>>,
-{
-    type Item = Result<T, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        if let Err(e) = self.govern.tick() {
-            self.done = true;
-            return Some(Err(e));
-        }
-        let item = self.inner.next();
-        match &item {
-            None | Some(Err(_)) => self.done = true,
-            Some(Ok(_)) => {}
-        }
-        item
     }
 }
 

@@ -14,6 +14,14 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== repo benchmark self-test =="
+# perfbench/ is its own Cargo package with path dependencies on the
+# engine crates, so an engine API change that breaks the benchmark build
+# fails here. Offline: its unit tests, the op-stream digest check, and
+# the metrics.json <-> BENCHMARK.json consistency check.
+python3 perfbench/run.py --self-test
+echo "benchmark self-test OK"
+
 echo "== bench smoke (--quick) =="
 out_dir="$(mktemp -d)"
 SQLPP_BENCH_DIR="$out_dir" cargo run --release -q -p sqlpp-bench --bin bench_all -- --quick

@@ -438,6 +438,29 @@ fn every_wal_prefix_recovers_to_the_matching_commit_prefix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Two engines on one data directory would interleave their appends, and
+/// recovery would then reject the whole log. The second open is refused
+/// while the first engine lives, the first engine keeps committing, and
+/// once it is dropped the directory reopens with every commit intact.
+#[test]
+fn second_open_of_a_live_directory_is_refused() {
+    let dir = tmp_dir("locked");
+    let engine = Engine::open(durable_config(&dir, None)).expect("open");
+    engine.execute("CREATE TABLE t (id INT)").unwrap();
+    engine.execute("INSERT INTO t VALUE {'id': 1}").unwrap();
+    match Engine::open(durable_config(&dir, None)) {
+        Err(Error::Durability(e)) if matches!(*e, DurabilityError::Locked { .. }) => {}
+        Err(e) => panic!("expected a Locked refusal, got {e}"),
+        Ok(_) => panic!("a second engine opened a live data directory"),
+    }
+    engine.execute("INSERT INTO t VALUE {'id': 2}").unwrap();
+    let expected = catalog_state(&engine);
+    drop(engine);
+    let reopened = Engine::open(durable_config(&dir, None)).expect("reopen after drop");
+    assert_eq!(catalog_state(&reopened), expected);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Acknowledged-commit durability under `SyncMode::Always`, stated
 /// directly: run, crash (drop without checkpoint), recover, and every
 /// acked statement is there — the sweep's pre/post window collapses to

@@ -191,8 +191,9 @@ fn sized_engine(data: Value, typing: TypingMode, batch_size: usize, compile_expr
 
 /// LIMIT/OFFSET quotas that land mid-batch, exactly on a batch edge, one
 /// past it, and beyond the input — every off-by-one a batched `Limited`
-/// could get wrong. Checked at batch sizes bracketing the default
-/// (including batch size 1, the degenerate single-row batch).
+/// could get wrong — over every pull adapter a quota can sit on. Checked
+/// at batch sizes bracketing the default (including batch size 1, the
+/// degenerate single-row batch).
 #[test]
 fn limit_offset_batch_boundaries_agree_with_row_path() {
     const QUERIES: &[&str] = &[
@@ -203,6 +204,45 @@ fn limit_offset_batch_boundaries_agree_with_row_path() {
         "SELECT VALUE x FROM t AS x LIMIT 10 OFFSET 3000",
         "SELECT VALUE x FROM t AS x WHERE x % 7 = 0 LIMIT 100 OFFSET 99",
         "SELECT VALUE x FROM t AS x LIMIT 0 OFFSET 1024",
+        // Non-equi joins run the nested loop; the equi LEFT join probes a
+        // hash table.
+        "SELECT VALUE [x, y] FROM (SELECT VALUE v FROM t AS v WHERE v < 40) AS x \
+         JOIN (SELECT VALUE v FROM t AS v WHERE v < 40) AS y ON x < y",
+        "SELECT VALUE [x, y] FROM (SELECT VALUE v FROM t AS v WHERE v < 40) AS x \
+         JOIN (SELECT VALUE v FROM t AS v WHERE v < 40) AS y ON x < y LIMIT 300 OFFSET 7",
+        "SELECT VALUE [x, y] FROM (SELECT VALUE v FROM t AS v WHERE v < 40) AS x \
+         LEFT JOIN (SELECT VALUE v FROM t AS v WHERE v < 20) AS y ON x < y",
+        "SELECT VALUE [x, y] FROM (SELECT VALUE v FROM t AS v WHERE v < 40) AS x \
+         LEFT JOIN (SELECT VALUE v FROM t AS v WHERE v < 20) AS y ON x < y LIMIT 200 OFFSET 150",
+        "SELECT VALUE [x, y] FROM t AS x \
+         LEFT JOIN (SELECT VALUE v FROM t AS v WHERE v % 3 = 0) AS y ON x = y",
+        "SELECT VALUE [x, y] FROM t AS x \
+         LEFT JOIN (SELECT VALUE v FROM t AS v WHERE v % 3 = 0) AS y ON x = y LIMIT 1025 OFFSET 2",
+        "SELECT VALUE x FROM t AS x WHERE x < 1500 \
+         UNION ALL SELECT VALUE x FROM t AS x WHERE x >= 1000",
+        "SELECT VALUE x FROM t AS x WHERE x < 1500 \
+         UNION ALL SELECT VALUE x FROM t AS x WHERE x >= 1000 LIMIT 1030 OFFSET 1000",
+        "SELECT VALUE x % 10 FROM t AS x INTERSECT ALL SELECT VALUE x % 7 FROM t AS x",
+        "SELECT VALUE x % 10 FROM t AS x INTERSECT ALL SELECT VALUE x % 7 FROM t AS x \
+         LIMIT 1024 OFFSET 1",
+        "SELECT VALUE x % 10 FROM t AS x EXCEPT ALL SELECT VALUE x FROM t AS x WHERE x < 2000",
+        "SELECT VALUE x % 10 FROM t AS x EXCEPT ALL SELECT VALUE x FROM t AS x WHERE x < 2000 \
+         LIMIT 1000 OFFSET 25",
+        "SELECT x % 3 AS k, COUNT(*) AS n FROM t AS x GROUP BY ROLLUP (x % 3)",
+        "SELECT x % 3 AS k, COUNT(*) AS n FROM t AS x GROUP BY ROLLUP (x % 3) LIMIT 2 OFFSET 1",
+        "SELECT VALUE [x, n, v] FROM t AS x, UNPIVOT {'a': x, 'b': x + 1} AS v AT n",
+        "SELECT VALUE [x, n, v] FROM t AS x, UNPIVOT {'a': x, 'b': x + 1} AS v AT n \
+         LIMIT 1025 OFFSET 1023",
+        "SELECT VALUE y FROM t AS x LET y = x * 2 WHERE y % 3 = 0",
+        "SELECT VALUE y FROM t AS x LET y = x * 2 WHERE y % 3 = 0 LIMIT 700 OFFSET 300",
+        "SELECT VALUE [x, (SELECT y FROM [0, 1, 1] AS y WHERE y = x % 3)] FROM t AS x",
+        "SELECT VALUE [x, (SELECT y FROM [0, 1, 1] AS y WHERE y = x % 3)] FROM t AS x \
+         LIMIT 1024 OFFSET 5",
+        "SELECT VALUE x FROM t AS x WHERE EXISTS (SELECT VALUE y FROM [0, 1] AS y WHERE y = x % 4)",
+        "SELECT VALUE x FROM t AS x WHERE EXISTS (SELECT VALUE y FROM [0, 1] AS y WHERE y = x % 4) \
+         LIMIT 1023 OFFSET 2",
+        "SELECT VALUE [x, s] FROM t AS x, x AS s",
+        "SELECT VALUE [x, s] FROM t AS x, x AS s LIMIT 1025 OFFSET 1024",
     ];
     let data = ints(3_000);
     for q in QUERIES {
