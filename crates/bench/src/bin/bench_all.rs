@@ -8,7 +8,7 @@
 use sqlpp_testkit::bench::{BenchConfig, Harness};
 
 fn main() {
-    let (cfg, name) = BenchConfig::from_args();
+    let (cfg, name) = BenchConfig::from_args("seed");
     let mut h = Harness::new(name, cfg);
     for (suite, run) in sqlpp_bench::suites::all() {
         eprintln!("== {suite} ==");

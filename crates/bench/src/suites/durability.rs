@@ -1,14 +1,20 @@
-//! **B18** — durability: what crash safety costs. Three questions, all
+//! **B18** — durability: what crash safety costs. Four questions, all
 //! measured on the real engine / store, none asserted as tight perf
 //! multiples (fsync latency is the storage stack's, not ours):
 //!
 //! * `commit_*` — the per-commit overhead of write-ahead logging at each
-//!   [`SyncMode`] against the in-memory baseline, on a deliberately
-//!   *small* (128-row) collection. The WAL logs full values (physical
-//!   logging matching the snapshot-and-replace DML model), so append
-//!   cost scales with collection size — the suite pins the collection
-//!   and reports `wal_bytes_per_commit` so the caveat is a number, not
-//!   a footnote.
+//!   [`SyncMode`] against the in-memory baseline: one single-row UPDATE
+//!   of a 1k-row collection.
+//! * `dml_insert/{n}`, `dml_update/{n}`, `dml_delete_reinsert/{n}` —
+//!   single-row DML at 1k, 10k and 100k rows under `SyncMode::Never`.
+//!   A DML statement logs a patch of the rows it changed, so the WAL
+//!   bytes of a single-row statement must not depend on the collection:
+//!   the suite measures them per statement kind before timing, attaches
+//!   them as `wal_bytes_per_commit_{n}` (plus per-kind counters), and
+//!   asserts they are flat across sizes (max/min ≤ 1.1). That assertion
+//!   is deterministic, so it is a real gate; the timings are reported
+//!   only. Each `dml_delete_reinsert` iteration deletes one row and
+//!   inserts it back, so the collection keeps its size.
 //! * `checkpoint/{n}` — writing a full catalog snapshot (temp file +
 //!   fsync + atomic rename + log truncation) at 10k and 100k rows.
 //! * `recover_snapshot/{n}` / `recover_wal/{n}` — cold-start recovery
@@ -17,6 +23,7 @@
 //!   timed.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use sqlpp::{DurabilityConfig, Engine, SessionConfig, SyncMode};
 use sqlpp_durability::{CatalogImage, DurableStore};
@@ -31,18 +38,27 @@ fn work_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn rows(n: usize) -> Value {
-    let rows = (0..n as i64)
-        .map(|i| {
-            let mut t = Tuple::with_capacity(3);
-            t.insert("id", Value::Int(i));
-            t.insert("v", Value::Int((i * 31) % 1_000));
-            t.insert("pad", Value::Str(format!("payload-{}", i % 97).into()));
-            Value::Tuple(t)
-        })
-        .collect();
-    Value::Bag(rows)
+fn row(i: i64) -> Value {
+    let mut t = Tuple::with_capacity(3);
+    t.insert("id", Value::Int(i));
+    t.insert("v", Value::Int((i * 31) % 1_000));
+    t.insert("pad", Value::Str(format!("payload-{}", i % 97)));
+    Value::Tuple(t)
 }
+
+fn rows(n: usize) -> Value {
+    Value::Bag((0..n as i64).map(row).collect())
+}
+
+fn insert(id: i64) -> String {
+    format!("INSERT INTO bench.d VALUE {}", row(id))
+}
+
+fn delete(id: i64) -> String {
+    format!("DELETE FROM bench.d AS e WHERE e.id = {id}")
+}
+
+const UPDATE: &str = "UPDATE bench.d AS e SET e.v = e.v + 1 WHERE e.id = 0";
 
 fn durable_engine(dir: &PathBuf, sync: SyncMode) -> Engine {
     Engine::open(SessionConfig {
@@ -52,26 +68,33 @@ fn durable_engine(dir: &PathBuf, sync: SyncMode) -> Engine {
     .expect("fresh durability dir opens")
 }
 
+/// WAL bytes one statement appends.
+fn wal_bytes_of(engine: &Engine, stmt: &str) -> u64 {
+    let before = engine.wal_status().expect("durable").wal_bytes;
+    engine.execute(stmt).unwrap();
+    engine.wal_status().expect("durable").wal_bytes - before
+}
+
 /// Runs the suite.
 pub fn run(h: &mut Harness) {
-    // --- per-commit overhead: one UPDATE of one row in a 128-row
-    // collection, so every iteration commits the same-sized value and
-    // the WAL append is the only thing that varies across modes.
-    const COMMIT_ROWS: usize = 128;
-    let update = "UPDATE bench.d AS e SET e.v = e.v + 1 WHERE e.id = 0";
+    // --- per-commit overhead: one UPDATE of one row, at each sync mode.
+    const COMMIT_ROWS: usize = 1_000;
 
     let baseline = Engine::new();
     baseline.register("bench.d", rows(COMMIT_ROWS));
     h.bench("durability/commit_in_memory", || {
-        baseline.execute(update).unwrap()
+        baseline.execute(UPDATE).unwrap()
     });
 
     for sync in [SyncMode::Never, SyncMode::OnCheckpoint, SyncMode::Always] {
         let dir = work_dir(&format!("commit-{}", sync.name()));
         let engine = durable_engine(&dir, sync);
         engine.register("bench.d", rows(COMMIT_ROWS));
+        // `register` does not log; the checkpoint makes the rows durable
+        // so every timed commit appends exactly one patch record.
+        engine.checkpoint().unwrap();
         h.bench(format!("durability/commit_wal_{}", sync.name()), || {
-            engine.execute(update).unwrap()
+            engine.execute(UPDATE).unwrap()
         });
         let st = engine.wal_status().expect("durable engine has a WAL");
         h.attach_counters([
@@ -89,6 +112,66 @@ pub fn run(h: &mut Harness) {
         drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    // --- single-row DML across collection sizes: WAL bytes per commit
+    // (gated flat) and latency (reported).
+    let mut per_commit: Vec<(usize, u64)> = Vec::new();
+    for full in [1_000usize, 10_000, 100_000] {
+        let n = scaled(h, full);
+        let dir = work_dir(&format!("dml-{full}"));
+        let engine = durable_engine(&dir, SyncMode::Never);
+        engine.register("bench.d", rows(n));
+        // Durable rows and an empty log, so every size starts from the
+        // same LSN.
+        engine.checkpoint().unwrap();
+        let last = n as i64;
+        let bytes = [
+            ("insert", wal_bytes_of(&engine, &insert(last))),
+            ("update", wal_bytes_of(&engine, UPDATE)),
+            ("delete", wal_bytes_of(&engine, &delete(last))),
+        ];
+        h.bench(format!("durability/dml_update/{full}"), || {
+            engine.execute(UPDATE).unwrap()
+        });
+        h.bench(format!("durability/dml_delete_reinsert/{full}"), || {
+            engine.execute(&delete(0)).unwrap();
+            engine.execute(&insert(0)).unwrap()
+        });
+        // Last: every iteration grows the collection.
+        let mut next = last;
+        h.bench(format!("durability/dml_insert/{full}"), || {
+            next += 1;
+            engine.execute(&insert(next)).unwrap()
+        });
+        let total: u64 = bytes.iter().map(|(_, b)| b).sum();
+        let commit = total / bytes.len() as u64;
+        per_commit.push((full, commit));
+        h.attach_counters(
+            bytes
+                .iter()
+                .map(|(kind, b)| (format!("wal_bytes_{kind}_{full}"), *b))
+                .chain([
+                    (format!("wal_bytes_per_commit_{full}"), commit),
+                    (format!("rows_{full}"), n as u64),
+                ]),
+        );
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let max = per_commit
+        .iter()
+        .map(|(_, b)| *b)
+        .max()
+        .expect("three sizes");
+    let min = per_commit
+        .iter()
+        .map(|(_, b)| *b)
+        .min()
+        .expect("three sizes");
+    assert!(
+        min > 0 && max * 10 <= min * 11,
+        "single-row DML WAL bytes must not grow with the collection: {per_commit:?}"
+    );
 
     // --- checkpoint write and cold-start recovery at 10k / 100k rows.
     for full in [10_000usize, 100_000] {
@@ -120,8 +203,10 @@ pub fn run(h: &mut Harness) {
         {
             let (store, _) = DurableStore::open(DurabilityConfig::new(&dir)).expect("open");
             let mut image = CatalogImage::default();
-            image.values.push(("bench.d".to_string(), rows(n)));
-            store.checkpoint(&image).expect("checkpoint");
+            image
+                .values
+                .push(("bench.d".to_string(), Arc::new(rows(n))));
+            store.checkpoint(image).expect("checkpoint");
         }
         h.bench(format!("durability/recover_snapshot/{full}"), || {
             let (_store, recovered) =
@@ -131,9 +216,9 @@ pub fn run(h: &mut Harness) {
         });
         let _ = std::fs::remove_dir_all(&dir);
 
-        // Recovery by WAL replay: the same rows arriving as 64 commit
-        // records (sharded collections, so total replayed bytes stay
-        // O(n) despite full-value logging), no snapshot to shortcut.
+        // Recovery by WAL replay: the same rows arriving as 64 full-value
+        // commit records (sharded collections, as `register` logs them),
+        // no snapshot to shortcut.
         let dir = work_dir(&format!("recover-wal-{full}"));
         const SHARDS: usize = 64;
         {

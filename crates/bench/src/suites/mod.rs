@@ -61,9 +61,10 @@ pub fn all() -> Vec<(&'static str, fn(&mut Harness))> {
 
 /// Entry point shared by the single-suite `[[bin]]` wrappers: parses the
 /// common CLI flags (`--quick`, `--name <report>`), runs one suite, and
-/// writes its `BENCH_<report>.json`.
+/// writes its `BENCH_<report>.json` (`<report>` defaults to the suite's
+/// name, so bins run without `--name` never overwrite each other).
 pub fn run_one(suite: &str) {
-    let (cfg, name) = sqlpp_testkit::bench::BenchConfig::from_args();
+    let (cfg, name) = sqlpp_testkit::bench::BenchConfig::from_args(suite);
     let runner = all()
         .into_iter()
         .find(|(n, _)| *n == suite)

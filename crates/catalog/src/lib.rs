@@ -5,8 +5,9 @@
 //! "could reflect the database/table hierarchy of a MySQL database or the
 //! schema/table hierarchy of a Postgres database". This crate provides a
 //! concurrent in-memory catalog mapping such names to values, with
-//! snapshot isolation for readers (values are handed out as `Arc`s and
-//! replaced wholesale on write).
+//! snapshot isolation for readers (values are handed out as `Arc`s; a
+//! write changes a value in place only while no reader holds it, and
+//! copies it otherwise).
 
 #![warn(missing_docs)]
 
@@ -135,6 +136,37 @@ impl Catalog {
         write(&self.inner).insert(name.into(), Arc::new(value));
     }
 
+    /// Changes `name`'s value through `f` (an unbound name is handed to
+    /// `f` as MISSING, and bound to whatever `f` leaves). When the catalog
+    /// holds the only reference, `f` runs in place under the write lock,
+    /// so it must be quick and must not touch the catalog. When a reader
+    /// holds a snapshot, the value is copied outside the lock, `f` runs on
+    /// the copy, and the copy replaces the binding: the reader's snapshot
+    /// never changes. Writers must hold [`Catalog::dml_guard`], or a
+    /// concurrent `update` could be lost while the copy is made.
+    pub fn update(&self, name: impl Into<QualifiedName>, f: impl FnOnce(&mut Value)) {
+        let name = name.into();
+        let shared = {
+            let mut map = write(&self.inner);
+            match map.get_mut(&name) {
+                Some(slot) => match Arc::get_mut(slot) {
+                    Some(value) => return f(value),
+                    None => Arc::clone(slot),
+                },
+                None => {
+                    let mut value = Value::Missing;
+                    f(&mut value);
+                    map.insert(name, Arc::new(value));
+                    return;
+                }
+            }
+        };
+        let mut value = (*shared).clone();
+        drop(shared);
+        f(&mut value);
+        self.set(name, value);
+    }
+
     /// Looks up a binding.
     pub fn get(&self, name: &QualifiedName) -> Result<Arc<Value>, CatalogError> {
         read(&self.inner)
@@ -232,11 +264,12 @@ impl Catalog {
     }
 
     /// Serializes DML statements. A read-modify-write over a binding
-    /// (INSERT/DELETE/UPDATE reads an `Arc` snapshot, computes the full
-    /// replacement value, and `set`s it wholesale) must hold this guard
-    /// from its target read through its commit — otherwise two
-    /// concurrent writers clone the same snapshot and the second commit
-    /// silently discards the first's rows (a lost update). Readers
+    /// (INSERT/DELETE/UPDATE reads an `Arc` snapshot, computes the
+    /// positions it changes, and applies them through
+    /// [`Catalog::update`]) must hold this guard from its target read
+    /// through its commit — otherwise a concurrent writer could shift
+    /// the positions between the read and the commit, or two copies of
+    /// one snapshot could each be rebound (a lost update). Readers
     /// never take this lock: snapshot isolation via [`Catalog::get`] is
     /// unaffected, so queries keep running while a writer holds it.
     pub fn dml_guard(&self) -> MutexGuard<'_, ()> {
@@ -322,6 +355,34 @@ mod tests {
         // The old snapshot is unchanged; new reads see the new value.
         assert_eq!(*snapshot, Value::Int(1));
         assert_eq!(*cat.get_str("t").unwrap(), Value::Int(2));
+    }
+
+    #[test]
+    fn update_runs_in_place_unless_a_reader_holds_a_snapshot() {
+        let push = |n: i64| {
+            move |v: &mut Value| match v {
+                Value::Bag(items) => items.push(Value::Int(n)),
+                other => panic!("not a bag: {other:?}"),
+            }
+        };
+        let cat = Catalog::new();
+        cat.set("t", Value::Bag(vec![Value::Int(1)]));
+        let before = Arc::as_ptr(&cat.get_str("t").unwrap());
+        cat.update("t", push(2));
+        // Sole owner: the stored value changed where it lies.
+        let after = cat.get_str("t").unwrap();
+        assert_eq!(Arc::as_ptr(&after), before);
+        assert_eq!(*after, Value::Bag(vec![Value::Int(1), Value::Int(2)]));
+        // `after` is a live snapshot now: the update copies and rebinds.
+        cat.update("t", push(3));
+        assert_eq!(*after, Value::Bag(vec![Value::Int(1), Value::Int(2)]));
+        assert_eq!(cat.get_str("t").unwrap().as_elements().unwrap().len(), 3);
+        // An unbound name starts from MISSING.
+        cat.update("u", |v| {
+            assert!(v.is_missing());
+            *v = Value::Int(7);
+        });
+        assert_eq!(*cat.get_str("u").unwrap(), Value::Int(7));
     }
 
     #[test]

@@ -10,20 +10,29 @@
 //! every mutation — the optional-schema tenet extended to writes.
 //!
 //! **Atomicity.** Every statement is snapshot-or-rollback: it reads an
-//! `Arc` snapshot of the target, computes the complete replacement value
-//! off to the side (evaluating predicates, sources, and assignments —
-//! each a possible failure point under strict typing, resource budgets,
-//! or injected faults), and only then publishes it through the single
-//! [`Engine::commit_collection`] call. Any error on the way out leaves
-//! the catalog byte-identical to the snapshot — there is no partially
-//! mutated state to roll back because the stored value is never mutated
-//! in place. The chaos suite (`tests/chaos.rs`) snapshot-compares the
-//! catalog around every failed DML to pin this.
+//! `Arc` snapshot of the target and computes a [`Patch`] off to the
+//! side — the positions a DELETE removes, the rebuilt rows an UPDATE
+//! replaces, the elements an INSERT appends — evaluating predicates,
+//! sources and assignments, each a possible failure point under strict
+//! typing, resource budgets, or injected faults. Only then does it
+//! publish through the single [`Engine::commit_patch`] call: the patch
+//! is logged, then applied to the stored collection. Applying a patch
+//! cannot fail, so any error leaves the catalog byte-identical to the
+//! snapshot, and a logged patch is always published. The patch is
+//! applied in place when no reader holds the collection and to a copy
+//! when one does, so readers keep their snapshots either way. The
+//! chaos suite (`tests/chaos.rs`) snapshot-compares the catalog around
+//! every failed DML to pin this.
 //!
-//! **Concurrency.** Snapshot-and-replace alone is not enough once
-//! several sessions write at once: two INSERTs that clone the same
-//! snapshot would each commit a replacement missing the other's rows
-//! (a lost update). Every statement therefore holds the catalog's
+//! **Cost.** Nothing is copied but the rows a statement touches: DELETE
+//! and UPDATE run their predicate over the borrowed snapshot
+//! ([`Evaluator::matching_positions`]), and the WAL record holds the
+//! patch, not the collection. A single-row statement logs the same
+//! bytes at 1k rows as at 100k.
+//!
+//! **Concurrency.** Positions are only meaningful against the snapshot
+//! they were computed from, and two writers working from one snapshot
+//! would lose an update. Every statement therefore holds the catalog's
 //! [`dml_guard`](sqlpp_catalog::Catalog::dml_guard) from its target
 //! read through its commit, serializing writers per catalog. Readers
 //! never take that lock — queries keep their lock-free `Arc` snapshots
@@ -32,6 +41,7 @@
 //! `tests/serving.rs` and the B16 mixed workload (8 sessions, 1-in-8
 //! DML, exact-count assertion) pin this under real contention.
 
+use sqlpp_durability::Patch;
 use sqlpp_eval::{Env, EvalConfig, Evaluator, ExecStats};
 use sqlpp_plan::lower::lower_with_scope;
 use sqlpp_plan::{CoreExpr, CoreOp, PlanConfig, Scope};
@@ -41,36 +51,38 @@ use sqlpp_value::{Tuple, Value};
 use crate::error::{Error, Result};
 use crate::Engine;
 
-/// A collection's elements plus the constructor restoring its kind.
-type ElementsAndKind = (Vec<Value>, fn(Vec<Value>) -> Value);
-
-/// Splits a mutable-collection target into elements + rebuilder.
-fn open_collection(stmt: &str, name: &str, v: Value) -> Result<ElementsAndKind> {
-    match v {
-        Value::Bag(items) => Ok((items, Value::Bag)),
-        Value::Array(items) => Ok((items, Value::Array)),
-        other => Err(Error::Usage(format!(
+/// The elements of a DML target, or a usage error naming the statement.
+fn elements<'v>(stmt: &str, name: &str, target: &'v Value) -> Result<&'v [Value]> {
+    target.as_elements().ok_or_else(|| {
+        Error::Usage(format!(
             "{stmt} target {name} is a {}, not a collection",
-            other.kind().name()
-        ))),
-    }
+            target.kind().name()
+        ))
+    })
 }
 
 impl Engine {
-    /// The single commit point for all DML: replaces `name`'s binding
-    /// with a fully computed value. On a durable engine the replacement
-    /// is appended to the write-ahead log *before* the catalog publishes
-    /// it — the only failure this call can produce. A failed append
-    /// leaves the catalog byte-identical to the snapshot the statement
-    /// read (the in-memory publish never happens), so statement
-    /// atomicity holds on both sides of a crash. The caller already
-    /// holds the catalog's `dml_guard` here, which is what lets
-    /// [`Engine::checkpoint`] capture images that match the log exactly.
-    fn commit_collection(&self, name: &str, value: Value) -> Result<()> {
-        if let Some(wal) = self.wal() {
-            wal.append_commit(name, &value)?;
+    /// The single commit point for all DML: publishes one statement's
+    /// patch to `name`. On a durable engine the patch is appended to the
+    /// write-ahead log *before* the catalog applies it — the only
+    /// failure this call can produce. A failed append leaves the catalog
+    /// byte-identical to the snapshot the statement read, so statement
+    /// atomicity holds on both sides of a crash. The caller holds the
+    /// catalog's `dml_guard` (which is what lets [`Engine::checkpoint`]
+    /// capture images that match the log exactly) and has dropped its
+    /// own snapshot, so the patch can apply in place.
+    fn commit_patch(&self, name: &str, patch: Patch) -> Result<()> {
+        let Some(wal) = self.wal() else {
+            self.catalog().update(name, |target| patch.apply(target));
+            return Ok(());
+        };
+        // One record, or two the first time a binding `register`ed
+        // without logging is patched (its base is logged in full).
+        wal.append_patch(name, self.catalog().get_str(name).ok(), &patch)?;
+        self.catalog().update(name, |target| patch.apply(target));
+        if let Ok(value) = self.catalog().get_str(name) {
+            wal.set_logged(name, value);
         }
-        self.catalog().set(name, value);
         Ok(())
     }
 
@@ -118,27 +130,16 @@ impl Engine {
         // Serialize the read-modify-write against concurrent writers; the
         // source evaluation above ran lock-free on its own snapshot.
         let _writers = self.catalog().dml_guard();
-        let updated = match self.catalog().get_str(&name) {
-            Ok(existing) => match (*existing).clone() {
-                Value::Bag(mut items) => {
-                    items.extend(new_elements);
-                    Value::Bag(items)
-                }
-                Value::Array(mut items) => {
-                    items.extend(new_elements);
-                    Value::Array(items)
-                }
-                other => {
-                    return Err(Error::Usage(format!(
-                        "INSERT target {name} is a {}, not a collection",
-                        other.kind().name()
-                    )));
-                }
-            },
-            // Inserting into an unbound name creates a bag.
-            Err(_) => Value::Bag(new_elements),
+        // Inserting into an unbound name creates a bag (the patch's rule
+        // for MISSING); a bound target must be a collection.
+        if let Ok(existing) = self.catalog().get_str(&name) {
+            elements("INSERT", &name, &existing)?;
+        }
+        let patch = Patch {
+            append: new_elements,
+            ..Patch::default()
         };
-        self.commit_collection(&name, updated)?;
+        self.commit_patch(&name, patch)?;
         Ok((count, stats))
     }
 
@@ -152,11 +153,11 @@ impl Engine {
             .alias
             .clone()
             .unwrap_or_else(|| del.target.last().expect("non-empty name").clone());
-        // Held through commit: the kept-rows computation depends on the
+        // Held through commit: the positions are computed against the
         // snapshot read here, so a concurrent writer must wait.
         let _writers = self.catalog().dml_guard();
         let existing = self.catalog().get_str(&name)?;
-        let (items, rebuild) = open_collection("DELETE", &name, (*existing).clone())?;
+        let items = elements("DELETE", &name, &existing)?;
         let matcher = self.compile_row_predicate(&del.where_clause, &alias)?;
         // DML evaluation runs under the same governor as queries: budgets,
         // deadlines, and injected faults abort the statement before its
@@ -168,16 +169,16 @@ impl Engine {
                 ..self.eval_config()
             },
         );
-        let mut kept = Vec::with_capacity(items.len());
-        let mut deleted = 0usize;
-        for item in items {
-            if row_matches(&evaluator, &matcher, &alias, &item)? {
-                deleted += 1;
-            } else {
-                kept.push(item);
-            }
-        }
-        self.commit_collection(&name, rebuild(kept))?;
+        let delete = selected(&evaluator, &matcher, &alias, items)?;
+        drop(existing);
+        let deleted = delete.len();
+        self.commit_patch(
+            &name,
+            Patch {
+                delete,
+                ..Patch::default()
+            },
+        )?;
         Ok((deleted, evaluator.stats_snapshot()))
     }
 
@@ -191,11 +192,10 @@ impl Engine {
             .alias
             .clone()
             .unwrap_or_else(|| up.target.last().expect("non-empty name").clone());
-        // Held through commit, as in DELETE: the rebuilt collection is
-        // derived from the snapshot read here.
+        // Held through commit, as in DELETE.
         let _writers = self.catalog().dml_guard();
         let existing = self.catalog().get_str(&name)?;
-        let (items, rebuild) = open_collection("UPDATE", &name, (*existing).clone())?;
+        let items = elements("UPDATE", &name, &existing)?;
         let matcher = self.compile_row_predicate(&up.where_clause, &alias)?;
         // Each assignment: an attribute path (rooted at the element) and a
         // compiled RHS evaluated against the OLD element, SQL-style.
@@ -211,21 +211,18 @@ impl Engine {
                 ..self.eval_config()
             },
         );
-        let mut updated_items = Vec::with_capacity(items.len());
-        let mut updated = 0usize;
+        let positions = selected(&evaluator, &matcher, &alias, items)?;
         let schema = self.catalog().schema(&crate::Name::parse(&name));
-        for item in items {
-            if !row_matches(&evaluator, &matcher, &alias, &item)? {
-                updated_items.push(item);
-                continue;
-            }
+        let mut replace = Vec::with_capacity(positions.len());
+        for pos in positions {
+            let item = &items[pos];
             let env = Env::new().bind(alias.clone(), item.clone());
             // Evaluate every RHS against the old element first.
             let mut new_values = Vec::with_capacity(compiled.len());
             for (_, rhs) in &compiled {
                 new_values.push(evaluator.expr(rhs, &env)?);
             }
-            let mut element = item;
+            let mut element = item.clone();
             for ((attrs, _), value) in compiled.iter().zip(new_values) {
                 element = set_path(element, attrs, value)?;
             }
@@ -237,10 +234,17 @@ impl Engine {
                     )));
                 }
             }
-            updated += 1;
-            updated_items.push(element);
+            replace.push((pos, element));
         }
-        self.commit_collection(&name, rebuild(updated_items))?;
+        drop(existing);
+        let updated = replace.len();
+        self.commit_patch(
+            &name,
+            Patch {
+                replace,
+                ..Patch::default()
+            },
+        )?;
         Ok((updated, evaluator.stats_snapshot()))
     }
 
@@ -274,19 +278,18 @@ impl Engine {
     }
 }
 
-/// Three-valued match: only a TRUE predicate affects the row. Takes the
-/// statement's evaluator so its stats accumulate across all rows.
-fn row_matches(
+/// The positions of the rows a WHERE predicate selects (every row without
+/// one). Takes the statement's evaluator so its stats accumulate.
+fn selected(
     evaluator: &Evaluator<'_>,
     matcher: &Option<CoreExpr>,
     alias: &str,
-    item: &Value,
-) -> Result<bool> {
-    let Some(pred) = matcher else {
-        return Ok(true);
-    };
-    let env = Env::new().bind(alias.to_string(), item.clone());
-    Ok(matches!(evaluator.expr(pred, &env)?, Value::Bool(true)))
+    items: &[Value],
+) -> Result<Vec<usize>> {
+    match matcher {
+        Some(pred) => Ok(evaluator.matching_positions(pred, alias, items)?),
+        None => Ok((0..items.len()).collect()),
+    }
 }
 
 /// Normalizes a SET path to the attribute chain below the element:

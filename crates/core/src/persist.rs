@@ -10,7 +10,9 @@
 //! [`Engine::checkpoint`] takes the guard, so the image it captures
 //! reflects exactly the records appended so far (never a record whose
 //! publish is still in flight), and the WAL truncation that follows can
-//! never discard a record the snapshot missed.
+//! never discard a record the snapshot missed. Images share the
+//! catalog's values rather than copying them, and recovery moves what
+//! it decodes into the catalog.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -43,7 +45,7 @@ impl Engine {
         };
         let (store, recovered) = DurableStore::open(durability)?;
         let catalog = Catalog::default();
-        install(&catalog, &recovered.image);
+        install(&catalog, &store, recovered.image);
         Ok(Engine {
             catalog,
             config,
@@ -63,14 +65,16 @@ impl Engine {
 
     /// Like [`Engine::open`], additionally returning what recovery
     /// reconstructed (snapshot LSN, records replayed, torn-tail report).
+    /// The recovered image itself is moved into the engine's catalog, so
+    /// the returned report's `image` is empty.
     pub fn open_with_recovery(config: SessionConfig) -> Result<(Engine, Recovered)> {
         let Some(durability) = config.durability.clone() else {
             let engine = Engine::open(config)?;
             return Ok((engine, Recovered::default()));
         };
-        let (store, recovered) = DurableStore::open(durability)?;
+        let (store, mut recovered) = DurableStore::open(durability)?;
         let catalog = Catalog::default();
-        install(&catalog, &recovered.image);
+        install(&catalog, &store, std::mem::take(&mut recovered.image));
         Ok((
             Engine {
                 catalog,
@@ -108,8 +112,7 @@ impl Engine {
         // guard means no statement is between its WAL append and its
         // catalog publish, so the image matches the log exactly.
         let _writers = self.catalog.dml_guard();
-        let image = self.capture_image();
-        Ok(Some(wal.checkpoint(&image)?))
+        Ok(Some(wal.checkpoint(self.capture_image())?))
     }
 
     /// Exports the catalog as a one-shot snapshot file (the REPL's
@@ -136,7 +139,7 @@ impl Engine {
         let mut imported = 0usize;
         for (name, value) in snap.image.values {
             let schema = schemas.remove(&name);
-            self.put_logged(&name, value, schema.as_ref())?;
+            self.put_logged(&name, Arc::unwrap_or_clone(value), schema.as_ref())?;
             imported += 1;
         }
         // Schema attachments without a current value (legal: a schema
@@ -170,20 +173,25 @@ impl Engine {
             };
         }
         self.catalog.set(name, value);
+        if let (Some(wal), Ok(value)) = (&self.wal, self.catalog.get_str(name)) {
+            wal.set_logged(name, value);
+        }
         if let Some(ty) = schema {
             self.catalog.set_schema(name, ty.clone());
         }
         Ok(())
     }
 
-    /// Captures the full catalog as an image. Callers that need the
-    /// image consistent with the WAL hold the DML guard across the
-    /// capture (see [`Engine::checkpoint`]).
+    /// Captures the full catalog as an image sharing the catalog's
+    /// values. Callers that need the image consistent with the WAL hold
+    /// the DML guard across the capture (see [`Engine::checkpoint`]); a
+    /// DML statement that commits while an image is alive copies the
+    /// collection it patches instead of patching it in place.
     pub(crate) fn capture_image(&self) -> CatalogImage {
         let mut values = Vec::new();
         for name in self.catalog.names() {
             if let Ok(v) = self.catalog.get(&name) {
-                values.push((name.to_string(), (*v).clone()));
+                values.push((name.to_string(), v));
             }
         }
         let (schema_epoch, schemas) = self.catalog.schema_state();
@@ -195,13 +203,17 @@ impl Engine {
     }
 }
 
-/// Installs a recovered image into a fresh catalog.
-fn install(catalog: &Catalog, image: &CatalogImage) {
-    for (name, value) in &image.values {
-        catalog.set(name.as_str(), value.clone());
+/// Moves a recovered image into a fresh catalog, recording each value
+/// as the one the store's log ends in.
+fn install(catalog: &Catalog, store: &DurableStore, image: CatalogImage) {
+    for (name, value) in image.values {
+        catalog.set(name.as_str(), Arc::unwrap_or_clone(value));
+        if let Ok(value) = catalog.get_str(&name) {
+            store.set_logged(&name, value);
+        }
     }
-    for (name, ty) in &image.schemas {
-        catalog.set_schema(name.as_str(), ty.clone());
+    for (name, ty) in image.schemas {
+        catalog.set_schema(name.as_str(), ty);
     }
     // `set_schema` bumped the epoch per attachment; raise it the rest of
     // the way so pre-crash epochs can never collide with current ones.

@@ -5,7 +5,9 @@
 //!
 //! * an **append-only write-ahead log** (`wal.log`) of checksummed,
 //!   ion_lite-framed records, one per committed catalog mutation, each
-//!   stamped with a monotonic log sequence number (LSN);
+//!   stamped with a monotonic log sequence number (LSN). A DML statement
+//!   logs a [`Patch`] of the rows it changed, so a record's size follows
+//!   the statement, not the collection;
 //! * **checkpoint snapshots** (`snap-<lsn>.snap`) of the full catalog —
 //!   values, schema attachments, schema epoch — written to a temp file,
 //!   fsynced, and atomically renamed, after which the WAL is truncated;
@@ -31,18 +33,21 @@
 #![warn(missing_docs)]
 
 mod crc32;
+mod patch;
 pub mod record;
 pub mod snapshot;
 pub mod wal;
 
+use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions, TryLockError};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 pub use crc32::crc32;
-pub use record::{WalOp, WalRecord};
+pub use patch::Patch;
+pub use record::{OpRef, WalOp, WalRecord};
 pub use snapshot::{read_snapshot, write_snapshot, CatalogImage, Snapshot};
 pub use wal::wal_record_ends;
 
@@ -146,9 +151,11 @@ pub enum DurabilityError {
     },
     /// An injected fault fired at a storage site (crash testing).
     Injected(String),
-    /// A previous append failed in a way that could not be rolled back;
-    /// the log refuses further writes until reopened (recovery will
-    /// stop at the last valid frame).
+    /// A previous append failed in a way that could not be rolled back
+    /// (a torn write that could not be truncated, or an fsync whose
+    /// outcome is unknown); the log refuses further appends and
+    /// checkpoints until reopened, and recovery decides what the log
+    /// holds.
     Poisoned,
     /// Another open store holds the directory's write-ahead log: two
     /// writers would interleave their appends and corrupt the log.
@@ -206,7 +213,9 @@ impl std::error::Error for DurabilityError {}
 /// What recovery reconstructed when the store was opened.
 #[derive(Debug, Clone, Default)]
 pub struct Recovered {
-    /// The catalog contents to install.
+    /// The catalog contents to install. The engine's open paths move
+    /// the image into the catalog, so the report they hand back carries
+    /// an empty image.
     pub image: CatalogImage,
     /// LSN of the snapshot recovery started from, if one existed.
     pub snapshot_lsn: Option<u64>,
@@ -271,6 +280,12 @@ pub struct DurableStore {
     fault: Option<FaultInjector>,
     replayed: u64,
     inner: Mutex<WalInner>,
+    /// Per name, the in-memory value the log's history ends in, as the
+    /// engine published it (see [`DurableStore::append_patch`]). Held
+    /// strongly, so a freed and reused allocation can never pass the
+    /// identity check; a binding replaced without logging keeps its old
+    /// value alive here until the name's next patch or checkpoint.
+    logged: Mutex<HashMap<String, Arc<Value>>>,
 }
 
 impl fmt::Debug for DurableStore {
@@ -362,9 +377,13 @@ impl DurableStore {
             let data =
                 std::fs::read(&wal_path).map_err(|e| DurabilityError::io("read", &wal_path, &e))?;
             let scan = wal::scan(&data, &wal_path, min_lsn)?;
-            for (record, _) in &scan.records {
-                apply(&mut image, &record.op);
+            for (record, span) in scan.records {
                 last_lsn = record.lsn;
+                apply(&mut image, record.op).map_err(|message| DurabilityError::Corrupt {
+                    path: wal_path.clone(),
+                    offset: span.start,
+                    message,
+                })?;
                 replayed += 1;
             }
             valid_len = scan.valid_len;
@@ -378,7 +397,7 @@ impl DurableStore {
         }
 
         let recovered = Recovered {
-            image: image.clone(),
+            image,
             snapshot_lsn: snap_lsn,
             replayed,
             last_lsn,
@@ -400,6 +419,7 @@ impl DurableStore {
                 checkpoints: 0,
                 poisoned: false,
             }),
+            logged: Mutex::new(HashMap::new()),
         };
         Ok((store, recovered))
     }
@@ -414,15 +434,41 @@ impl DurableStore {
         self.sync
     }
 
+    /// Appends one DML statement's patch to `name`; returns its LSN.
+    /// `base` is the collection the patch was computed from, as the
+    /// catalog holds it (`None`: unbound). A patch only replays onto the
+    /// value it was computed from, so when the log does not end in
+    /// exactly `base` (the binding was published without logging, as
+    /// `Engine::register` does) `base` is logged in full first. The store
+    /// lets go of its own reference to the collection here, so the engine
+    /// can patch it in place, and records the result again through
+    /// [`DurableStore::set_logged`].
+    pub fn append_patch(
+        &self,
+        name: &str,
+        base: Option<Arc<Value>>,
+        patch: &Patch,
+    ) -> Result<u64, DurabilityError> {
+        let logged = self.lock_logged().remove(name);
+        if let Some(base) = &base {
+            if !logged.is_some_and(|logged| Arc::ptr_eq(&logged, base)) {
+                self.append_op(OpRef::Commit { name, value: base })?;
+            }
+        }
+        self.append_op(OpRef::Patch { name, patch })
+    }
+
+    /// Records that the log's history for `name` ends in `value`, the
+    /// catalog's current binding. The engine calls this after every
+    /// logged publish and after recovery installs the catalog; a
+    /// checkpoint records its whole image.
+    pub fn set_logged(&self, name: &str, value: Arc<Value>) {
+        self.lock_logged().insert(name.to_string(), value);
+    }
+
     /// Appends a full-value commit record; returns its LSN.
     pub fn append_commit(&self, name: &str, value: &Value) -> Result<u64, DurabilityError> {
-        self.append_op(|lsn| WalRecord {
-            lsn,
-            op: WalOp::Commit {
-                name: name.to_string(),
-                value: value.clone(),
-            },
-        })
+        self.append_op(OpRef::Commit { name, value })
     }
 
     /// Appends a commit that also attaches a schema (one record — a
@@ -433,38 +479,24 @@ impl DurableStore {
         value: &Value,
         schema: &SqlppType,
     ) -> Result<u64, DurabilityError> {
-        self.append_op(|lsn| WalRecord {
-            lsn,
-            op: WalOp::CommitWithSchema {
-                name: name.to_string(),
-                value: value.clone(),
-                schema: schema.clone(),
-            },
+        self.append_op(OpRef::CommitWithSchema {
+            name,
+            value,
+            schema,
         })
     }
 
     /// Appends a schema attachment; returns its LSN.
     pub fn append_schema(&self, name: &str, schema: &SqlppType) -> Result<u64, DurabilityError> {
-        self.append_op(|lsn| WalRecord {
-            lsn,
-            op: WalOp::SetSchema {
-                name: name.to_string(),
-                schema: schema.clone(),
-            },
-        })
+        self.append_op(OpRef::SetSchema { name, schema })
     }
 
     /// Appends an unbind record; returns its LSN.
     pub fn append_remove(&self, name: &str) -> Result<u64, DurabilityError> {
-        self.append_op(|lsn| WalRecord {
-            lsn,
-            op: WalOp::Remove {
-                name: name.to_string(),
-            },
-        })
+        self.append_op(OpRef::Remove { name })
     }
 
-    fn append_op(&self, build: impl FnOnce(u64) -> WalRecord) -> Result<u64, DurabilityError> {
+    fn append_op(&self, op: OpRef<'_>) -> Result<u64, DurabilityError> {
         let mut w = self.lock();
         if w.poisoned {
             return Err(DurabilityError::Poisoned);
@@ -474,7 +506,7 @@ impl DurableStore {
         // log is unchanged and the statement must not publish.
         self.fault(FaultSite::WalAppend)?;
         let lsn = w.next_lsn;
-        let frame = wal::frame(&record::encode_record(&build(lsn)));
+        let frame = wal::frame(&record::encode_record(lsn, op));
         let wal_path = self.dir.join(WAL_FILE);
         if let Err(e) = w.file.write_all(&frame) {
             // Part of the frame may have landed — exactly a torn tail.
@@ -485,34 +517,30 @@ impl DurableStore {
             }
             return Err(DurabilityError::io("append", &wal_path, &e));
         }
+        w.len += frame.len() as u64;
+        w.next_lsn += 1;
+        w.records_since_checkpoint += 1;
+        w.appends += 1;
         if self.sync == SyncMode::Always {
             // A sync failure means durability is *unknown*: the frame
             // is complete in the OS cache and may or may not reach
-            // disk. The record keeps its LSN (later appends must not
-            // reuse it), the statement fails un-published, and
-            // recovery may legitimately resurrect it — the crash
-            // harness accepts either side of the interrupted
-            // statement.
-            let synced = match self.fault(FaultSite::WalFsync) {
-                Ok(()) => w
-                    .file
+            // disk. The statement fails un-published, and recovery may
+            // legitimately resurrect it (the crash harness accepts
+            // either side of the interrupted statement). Nothing may be
+            // logged after it: a later patch names positions that assume
+            // this record never happened, so if it did reach disk,
+            // replaying both would corrupt the collection. The store is
+            // poisoned until a reopen lets recovery decide.
+            let synced = self.fault(FaultSite::WalFsync).and_then(|()| {
+                w.file
                     .sync_data()
-                    .map_err(|e| DurabilityError::io("fsync", &wal_path, &e)),
-                Err(e) => Err(e),
-            };
-            w.len += frame.len() as u64;
-            w.next_lsn += 1;
-            w.records_since_checkpoint += 1;
-            w.appends += 1;
+                    .map_err(|e| DurabilityError::io("fsync", &wal_path, &e))
+            });
             if let Err(e) = synced {
+                w.poisoned = true;
                 return Err(e);
             }
             w.syncs += 1;
-        } else {
-            w.len += frame.len() as u64;
-            w.next_lsn += 1;
-            w.records_since_checkpoint += 1;
-            w.appends += 1;
         }
         Ok(lsn)
     }
@@ -523,7 +551,7 @@ impl DurableStore {
     /// snapshots. The caller must pass an image consistent with every
     /// LSN appended so far — the engine does this by holding its
     /// catalog `dml_guard` across the capture and this call.
-    pub fn checkpoint(&self, image: &CatalogImage) -> Result<u64, DurabilityError> {
+    pub fn checkpoint(&self, image: CatalogImage) -> Result<u64, DurabilityError> {
         let mut w = self.lock();
         if w.poisoned {
             return Err(DurabilityError::Poisoned);
@@ -531,10 +559,7 @@ impl DurableStore {
         let lsn = w.next_lsn - 1;
         let final_path = self.dir.join(format!("snap-{lsn:020}.snap"));
         let tmp_path = self.dir.join(format!("snap-{lsn:020}.snap.tmp"));
-        let snap = Snapshot {
-            lsn,
-            image: image.clone(),
-        };
+        let snap = Snapshot { lsn, image };
         let written = self
             .fault(FaultSite::SnapshotWrite)
             .and_then(|()| write_snapshot(&tmp_path, &snap, self.sync != SyncMode::Never));
@@ -568,6 +593,12 @@ impl DurableStore {
         w.records_since_checkpoint = 0;
         w.snapshot_lsn = Some(lsn);
         w.checkpoints += 1;
+        *self.lock_logged() = snap
+            .image
+            .values
+            .iter()
+            .map(|(name, value)| (name.clone(), Arc::clone(value)))
+            .collect();
         // Prune superseded snapshots (best-effort; recovery prefers the
         // newest valid one regardless).
         for (old_lsn, path) in snapshot_files(&self.dir)? {
@@ -600,6 +631,10 @@ impl DurableStore {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    fn lock_logged(&self) -> std::sync::MutexGuard<'_, HashMap<String, Arc<Value>>> {
+        self.logged.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn fault(&self, site: FaultSite) -> Result<(), DurabilityError> {
         fault_check(self.fault.as_ref(), site)
     }
@@ -614,34 +649,48 @@ fn fault_check(fault: Option<&FaultInjector>, site: FaultSite) -> Result<(), Dur
     Ok(())
 }
 
-/// Applies one replayed record to a catalog image.
-fn apply(image: &mut CatalogImage, op: &WalOp) {
+/// Applies one replayed record to a catalog image, moving its values in.
+/// A patch that does not fit the value it names is reported: the log
+/// disagrees with its own history.
+fn apply(image: &mut CatalogImage, op: WalOp) -> Result<(), String> {
     match op {
         WalOp::Commit { name, value } => {
-            set_entry(&mut image.values, name, value.clone());
+            set_entry(&mut image.values, &name, Arc::new(value));
         }
         WalOp::CommitWithSchema {
             name,
             value,
             schema,
         } => {
-            set_entry(&mut image.values, name, value.clone());
-            set_entry(&mut image.schemas, name, schema.clone());
+            set_entry(&mut image.values, &name, Arc::new(value));
+            set_entry(&mut image.schemas, &name, schema);
             image.schema_epoch += 1;
         }
+        WalOp::Patch { name, patch } => {
+            let slot = match image.values.iter().position(|(n, _)| *n == name) {
+                Some(i) => &mut image.values[i].1,
+                None => {
+                    image.values.push((name, Arc::new(Value::Missing)));
+                    &mut image.values.last_mut().expect("just pushed").1
+                }
+            };
+            patch.check(slot)?;
+            patch.apply(Arc::make_mut(slot));
+        }
         WalOp::SetSchema { name, schema } => {
-            set_entry(&mut image.schemas, name, schema.clone());
+            set_entry(&mut image.schemas, &name, schema);
             image.schema_epoch += 1;
         }
         WalOp::Remove { name } => {
-            image.values.retain(|(n, _)| n != name);
-            let had_schema = image.schemas.iter().any(|(n, _)| n == name);
-            image.schemas.retain(|(n, _)| n != name);
+            image.values.retain(|(n, _)| *n != name);
+            let had_schema = image.schemas.iter().any(|(n, _)| *n == name);
+            image.schemas.retain(|(n, _)| *n != name);
             if had_schema {
                 image.schema_epoch += 1;
             }
         }
     }
+    Ok(())
 }
 
 fn set_entry<T>(entries: &mut Vec<(String, T)>, name: &str, value: T) {
@@ -713,7 +762,10 @@ mod tests {
         let (store, rec) = DurableStore::open(DurabilityConfig::new(&dir)).unwrap();
         assert_eq!(rec.replayed, 3);
         assert_eq!(rec.last_lsn, 3);
-        assert_eq!(rec.image.values, vec![("t".to_string(), bag![1i64, 2i64])]);
+        assert_eq!(
+            rec.image.values,
+            vec![("t".to_string(), Arc::new(bag![1i64, 2i64]))]
+        );
         assert_eq!(rec.image.schemas.len(), 1);
         assert_eq!(rec.image.schema_epoch, 1);
         // LSNs keep counting from where they stopped.
@@ -728,11 +780,11 @@ mod tests {
         store.append_commit("t", &bag![1i64]).unwrap();
         store.append_commit("t", &bag![1i64, 2i64]).unwrap();
         let image = CatalogImage {
-            values: vec![("t".into(), bag![1i64, 2i64])],
+            values: vec![("t".into(), Arc::new(bag![1i64, 2i64]))],
             schemas: vec![],
             schema_epoch: 0,
         };
-        assert_eq!(store.checkpoint(&image).unwrap(), 2);
+        assert_eq!(store.checkpoint(image).unwrap(), 2);
         let st = store.status();
         assert_eq!(st.snapshot_lsn, Some(2));
         assert_eq!(st.wal_bytes, 0);
@@ -744,7 +796,7 @@ mod tests {
         assert_eq!(rec.replayed, 1);
         assert_eq!(
             rec.image.values,
-            vec![("t".to_string(), bag![1i64, 2i64, 3i64])]
+            vec![("t".to_string(), Arc::new(bag![1i64, 2i64, 3i64]))]
         );
         // Exactly one snapshot file and the wal remain.
         let names: Vec<String> = list_dir(&dir)
@@ -773,7 +825,10 @@ mod tests {
         let (store, rec) = DurableStore::open(DurabilityConfig::new(&dir)).unwrap();
         assert!(rec.torn_tail.is_some());
         assert_eq!(rec.replayed, 1);
-        assert_eq!(rec.image.values, vec![("a".to_string(), bag![1i64])]);
+        assert_eq!(
+            rec.image.values,
+            vec![("a".to_string(), Arc::new(bag![1i64]))]
+        );
         // The torn bytes are gone; a new append produces a clean log.
         store.append_commit("c", &bag![3i64]).unwrap();
         drop(store);
@@ -818,6 +873,118 @@ mod tests {
         ));
         // The failed append left no bytes; the next one gets LSN 1.
         assert_eq!(store.append_commit("t", &bag![1i64]).unwrap(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn patches_replay_on_top_of_full_values() {
+        let dir = tmp_dir("patch");
+        {
+            let (store, _) = DurableStore::open(DurabilityConfig::new(&dir)).unwrap();
+            store.append_commit("t", &bag![1i64, 2i64, 3i64]).unwrap();
+            let patch = Patch {
+                replace: vec![(2, Value::Int(30))],
+                delete: vec![0],
+                append: vec![Value::Int(4)],
+            };
+            let base = Arc::new(bag![1i64, 2i64, 3i64]);
+            store.set_logged("t", Arc::clone(&base));
+            store.append_patch("t", Some(base), &patch).unwrap();
+            // A patch on an unbound name starts from the empty bag.
+            let first = Patch {
+                append: vec![Value::Int(7)],
+                ..Patch::default()
+            };
+            store.append_patch("u", None, &first).unwrap();
+        }
+        let (_store, rec) = DurableStore::open(DurabilityConfig::new(&dir)).unwrap();
+        assert_eq!(rec.replayed, 3);
+        assert_eq!(
+            rec.image.values,
+            vec![
+                ("t".to_string(), Arc::new(bag![2i64, 30i64, 4i64])),
+                ("u".to_string(), Arc::new(bag![7i64])),
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_patch_that_does_not_fit_is_corruption() {
+        let dir = tmp_dir("misfit");
+        let second;
+        {
+            let (store, _) = DurableStore::open(DurabilityConfig::new(&dir)).unwrap();
+            store.append_commit("t", &bag![1i64]).unwrap();
+            second = store.status().wal_bytes;
+            let patch = Patch {
+                delete: vec![1],
+                ..Patch::default()
+            };
+            store.append_patch("t", None, &patch).unwrap();
+        }
+        match DurableStore::open(DurabilityConfig::new(&dir)) {
+            Err(DurabilityError::Corrupt { offset, .. }) => assert_eq!(offset, second),
+            other => panic!("expected corruption, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_fsync_poisons_the_store_until_reopened() {
+        let dir = tmp_dir("fsync");
+        let plan = std::sync::atomic::AtomicBool::new(true);
+        let inj = FaultInjector::new(move |site| {
+            (site == FaultSite::WalFsync && plan.swap(false, std::sync::atomic::Ordering::Relaxed))
+                .then(|| sqlpp_eval::EvalError::Resource("injected fault at wal-fsync".into()))
+        });
+        let (store, _) = DurableStore::open(DurabilityConfig::new(&dir).with_fault(inj)).unwrap();
+        assert!(matches!(
+            store.append_commit("t", &bag![1i64]),
+            Err(DurabilityError::Injected(_))
+        ));
+        assert!(store.status().poisoned);
+        assert!(matches!(
+            store.append_commit("t", &bag![2i64]),
+            Err(DurabilityError::Poisoned)
+        ));
+        assert!(matches!(
+            store.checkpoint(CatalogImage::default()),
+            Err(DurabilityError::Poisoned)
+        ));
+        drop(store);
+        // The unsynced record reached the page cache, so recovery keeps it.
+        let (store, rec) = DurableStore::open(DurabilityConfig::new(&dir)).unwrap();
+        assert_eq!(rec.replayed, 1);
+        assert!(!store.status().poisoned);
+        assert_eq!(store.append_commit("t", &bag![2i64]).unwrap(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_patch_on_an_unlogged_base_logs_the_base_first() {
+        let dir = tmp_dir("unlogged");
+        {
+            let (store, _) = DurableStore::open(DurabilityConfig::new(&dir)).unwrap();
+            let logged = Arc::new(bag![1i64]);
+            store.append_commit("t", &logged).unwrap();
+            store.set_logged("t", logged);
+            // The catalog now holds another value the log never saw.
+            let registered = Arc::new(bag![5i64, 6i64]);
+            let patch = Patch {
+                delete: vec![0],
+                ..Patch::default()
+            };
+            assert_eq!(
+                store.append_patch("t", Some(registered), &patch).unwrap(),
+                3
+            );
+        }
+        let (_store, rec) = DurableStore::open(DurabilityConfig::new(&dir)).unwrap();
+        assert_eq!(
+            rec.image.values,
+            vec![("t".to_string(), Arc::new(bag![6i64]))]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

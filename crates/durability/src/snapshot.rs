@@ -21,7 +21,9 @@
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 
+use sqlpp_formats::ion_lite::{to_ion_lite_borrowed, Borrowed};
 use sqlpp_schema::SqlppType;
 use sqlpp_value::{Tuple, Value};
 
@@ -34,8 +36,9 @@ use crate::DurabilityError;
 /// every named value, every schema attachment, and the schema epoch.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CatalogImage {
-    /// `(dotted name, value)` bindings, in name order.
-    pub values: Vec<(String, Value)>,
+    /// `(dotted name, value)` bindings, in name order. Values are shared
+    /// with the catalog they were captured from, not copied.
+    pub values: Vec<(String, Arc<Value>)>,
     /// `(dotted name, element type)` schema attachments, in name order.
     pub schemas: Vec<(String, SqlppType)>,
     /// The schema epoch at capture time; restored monotonically so
@@ -52,51 +55,54 @@ pub struct Snapshot {
     pub image: CatalogImage,
 }
 
-/// Encodes a snapshot into its single-frame file contents.
+/// Encodes a snapshot into its single-frame file contents, writing every
+/// value straight from the image.
 pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
-    let mut t = Tuple::with_capacity(6);
-    t.insert("format", Value::Str("sqlpp-snapshot".into()));
-    t.insert("version", Value::Int(1));
-    t.insert("lsn", Value::Int(snap.lsn as i64));
-    t.insert("epoch", Value::Int(snap.image.schema_epoch as i64));
-    t.insert(
-        "values",
-        Value::Array(
-            snap.image
-                .values
-                .iter()
-                .map(|(name, value)| {
-                    let mut e = Tuple::with_capacity(2);
-                    e.insert("name", Value::Str(name.clone()));
-                    e.insert("value", value.clone());
-                    Value::Tuple(e)
-                })
-                .collect(),
+    use Borrowed as B;
+    let schemas: Vec<(&str, Value)> = snap
+        .image
+        .schemas
+        .iter()
+        .map(|(name, ty)| (name.as_str(), type_to_value(ty)))
+        .collect();
+    fn entry<'a>(name: &'a str, key: &'a str, value: &'a Value) -> Borrowed<'a> {
+        Borrowed::Tuple(vec![
+            ("name", Borrowed::Str(name)),
+            (key, Borrowed::Value(value)),
+        ])
+    }
+    let payload = to_ion_lite_borrowed(&B::Tuple(vec![
+        ("format", B::Str("sqlpp-snapshot")),
+        ("version", B::Int(1)),
+        ("lsn", B::Int(snap.lsn as i64)),
+        ("epoch", B::Int(snap.image.schema_epoch as i64)),
+        (
+            "values",
+            B::Array(
+                snap.image
+                    .values
+                    .iter()
+                    .map(|(name, value)| entry(name, "value", value))
+                    .collect(),
+            ),
         ),
-    );
-    t.insert(
-        "schemas",
-        Value::Array(
-            snap.image
-                .schemas
-                .iter()
-                .map(|(name, ty)| {
-                    let mut e = Tuple::with_capacity(2);
-                    e.insert("name", Value::Str(name.clone()));
-                    e.insert("ty", type_to_value(ty));
-                    Value::Tuple(e)
-                })
-                .collect(),
+        (
+            "schemas",
+            B::Array(
+                schemas
+                    .iter()
+                    .map(|(name, ty)| entry(name, "ty", ty))
+                    .collect(),
+            ),
         ),
-    );
-    let payload = sqlpp_formats::ion_lite::to_ion_lite(&Value::Tuple(t));
+    ]));
     crate::wal::frame(&payload)
 }
 
-/// Decodes snapshot file contents. Any defect — bad frame, bad
-/// checksum, wrong format marker, undecodable image — is a `String`
-/// reason the caller wraps into a structured error (or uses to fall
-/// back to an older snapshot).
+/// Decodes snapshot file contents, moving each decoded value into the
+/// image. Any defect — bad frame, bad checksum, wrong format marker,
+/// undecodable image — is a `String` reason the caller wraps into a
+/// structured error (or uses to fall back to an older snapshot).
 pub fn decode_snapshot(data: &[u8]) -> Result<Snapshot, String> {
     if data.len() < FRAME_HEADER {
         return Err("snapshot shorter than a frame header".to_string());
@@ -115,9 +121,9 @@ pub fn decode_snapshot(data: &[u8]) -> Result<Snapshot, String> {
     }
     let value = sqlpp_formats::ion_lite::from_ion_lite(payload)
         .map_err(|e| format!("undecodable snapshot payload: {e}"))?;
-    let t = value
-        .as_tuple()
-        .ok_or_else(|| "snapshot payload is not a tuple".to_string())?;
+    let Value::Tuple(mut t) = value else {
+        return Err("snapshot payload is not a tuple".to_string());
+    };
     match t.get("format") {
         Some(Value::Str(s)) if s == "sqlpp-snapshot" => {}
         _ => return Err("missing sqlpp-snapshot format marker".to_string()),
@@ -127,31 +133,18 @@ pub fn decode_snapshot(data: &[u8]) -> Result<Snapshot, String> {
         Some(Value::Int(v)) => return Err(format!("unsupported snapshot version {v}")),
         _ => return Err("missing snapshot version".to_string()),
     }
-    let lsn = get_u64(t, "lsn")?;
-    let schema_epoch = get_u64(t, "epoch")?;
+    let lsn = get_u64(&t, "lsn")?;
+    let schema_epoch = get_u64(&t, "epoch")?;
     let mut values = Vec::new();
-    match t.get("values") {
-        Some(Value::Array(items)) => {
-            for item in items {
-                let e = item
-                    .as_tuple()
-                    .ok_or_else(|| "snapshot value entry is not a tuple".to_string())?;
-                values.push((get_str(e, "name")?, get_val(e, "value")?));
-            }
-        }
-        _ => return Err("snapshot missing 'values'".to_string()),
+    for mut e in take_entries(&mut t, "values")? {
+        values.push((get_str(&e, "name")?, Arc::new(take_val(&mut e, "value")?)));
     }
     let mut schemas = Vec::new();
-    match t.get("schemas") {
-        Some(Value::Array(items)) => {
-            for item in items {
-                let e = item
-                    .as_tuple()
-                    .ok_or_else(|| "snapshot schema entry is not a tuple".to_string())?;
-                schemas.push((get_str(e, "name")?, type_from_value(&get_val(e, "ty")?)?));
-            }
-        }
-        _ => return Err("snapshot missing 'schemas'".to_string()),
+    for mut e in take_entries(&mut t, "schemas")? {
+        schemas.push((
+            get_str(&e, "name")?,
+            type_from_value(&take_val(&mut e, "ty")?)?,
+        ));
     }
     Ok(Snapshot {
         lsn,
@@ -177,10 +170,24 @@ fn get_str(t: &Tuple, name: &str) -> Result<String, String> {
     }
 }
 
-fn get_val(t: &Tuple, name: &str) -> Result<Value, String> {
-    t.get(name)
-        .cloned()
+fn take_val(t: &mut Tuple, name: &str) -> Result<Value, String> {
+    t.remove(name)
         .ok_or_else(|| format!("snapshot field {name:?} missing"))
+}
+
+/// Moves the `{name, …}` entry tuples of the `values` / `schemas` list
+/// out of the snapshot tuple.
+fn take_entries(t: &mut Tuple, list: &str) -> Result<Vec<Tuple>, String> {
+    let Ok(Value::Array(items)) = take_val(t, list) else {
+        return Err(format!("snapshot missing '{list}'"));
+    };
+    items
+        .into_iter()
+        .map(|item| match item {
+            Value::Tuple(e) => Ok(e),
+            _ => Err(format!("snapshot {list} entry is not a tuple")),
+        })
+        .collect()
 }
 
 /// Writes a snapshot to `path` directly (no tmp/rename dance — the
@@ -212,6 +219,7 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, DurabilityError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::tests::{hex, pinned_row};
     use sqlpp_value::bag;
 
     fn sample() -> Snapshot {
@@ -219,8 +227,8 @@ mod tests {
             lsn: 17,
             image: CatalogImage {
                 values: vec![
-                    ("hr.emp".into(), bag![1i64, 2i64]),
-                    ("t".into(), Value::empty_bag()),
+                    ("hr.emp".into(), Arc::new(bag![pinned_row(), 2i64])),
+                    ("t".into(), Arc::new(Value::empty_bag())),
                 ],
                 schemas: vec![("t".into(), SqlppType::Bag(Box::new(SqlppType::Int)))],
                 schema_epoch: 3,
@@ -232,6 +240,20 @@ mod tests {
     fn snapshot_round_trips() {
         let snap = sample();
         assert_eq!(decode_snapshot(&encode_snapshot(&snap)).unwrap(), snap);
+    }
+
+    /// Snapshots are a stored format that existing directories hold: the
+    /// encoder must reproduce these bytes exactly.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        assert_eq!(
+            hex(&encode_snapshot(&sample())),
+            "b60000007efd48860b0606666f726d6174070e73716c70702d736e617073686f740776657273696f6e\
+             0402036c736e04220565706f636804060676616c75657309020b02046e616d65070668722e656d7005\
+             76616c75650a020b040269640402046e616d650703416e6e027873090205000000000000f83f010174\
+             0304040b02046e616d650701740576616c75650a0007736368656d617309010b02046e616d65070174\
+             0274790b02016b070362616704656c656d0b01016b0703696e74"
+        );
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //!   non-monotonic LSN — cannot be produced by a torn append and is
 //!   reported as structured **corruption**, never a panic.
 
+use std::ops::Range;
 use std::path::Path;
 
 use crate::crc32::crc32;
@@ -36,8 +37,8 @@ pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
 #[derive(Debug)]
 pub(crate) struct WalScan {
     /// Every checksum-valid, decoded record in log order, with the byte
-    /// offset just past its frame.
-    pub records: Vec<(WalRecord, u64)>,
+    /// range of its frame.
+    pub records: Vec<(WalRecord, Range<u64>)>,
     /// Length of the valid prefix; anything past it is a torn tail.
     pub valid_len: u64,
     /// Why the scan stopped early, if it did (torn-tail description).
@@ -109,7 +110,7 @@ pub(crate) fn scan(data: &[u8], path: &Path, min_lsn: u64) -> Result<WalScan, Du
         }
         prev_lsn = record.lsn;
         if record.lsn > min_lsn {
-            records.push((record, end as u64));
+            records.push((record, offset as u64..end as u64));
         }
         offset = end;
     }
@@ -127,24 +128,24 @@ pub(crate) fn scan(data: &[u8], path: &Path, min_lsn: u64) -> Result<WalScan, Du
 pub fn wal_record_ends(path: &Path) -> Result<Vec<u64>, DurabilityError> {
     let data = std::fs::read(path).map_err(|e| DurabilityError::io("read", path, &e))?;
     let scan = scan(&data, path, 0)?;
-    Ok(scan.records.iter().map(|(_, end)| *end).collect())
+    Ok(scan.records.iter().map(|(_, span)| span.end).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{encode_record, WalOp};
+    use crate::record::{encode_record, OpRef};
     use sqlpp_value::Value;
     use std::path::PathBuf;
 
     fn rec(lsn: u64) -> Vec<u8> {
-        frame(&encode_record(&WalRecord {
+        frame(&encode_record(
             lsn,
-            op: WalOp::Commit {
-                name: "t".into(),
-                value: Value::Int(lsn as i64),
+            OpRef::Commit {
+                name: "t",
+                value: &Value::Int(lsn as i64),
             },
-        }))
+        ))
     }
 
     fn p() -> PathBuf {

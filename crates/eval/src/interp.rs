@@ -1937,6 +1937,64 @@ impl<'a> Evaluator<'a> {
         result
     }
 
+    /// The positions of the elements of `rows` for which `pred`, with
+    /// `alias` bound to the element, is TRUE (NULL and MISSING do not
+    /// match). DML finds the rows a DELETE or UPDATE touches this way
+    /// without copying any row: the predicate is compiled once and run
+    /// against each borrowed row, the deadline ticked every
+    /// `BATCH_TICK_ROWS` rows, as in the fused scan spine. A predicate
+    /// that does not compile to root-safe bytecode, an evaluator with
+    /// `compile_exprs` off, and runs under fault injection tree-walk each
+    /// row instead, so fault-site visits stay one per row.
+    pub fn matching_positions(
+        &self,
+        pred: &CoreExpr,
+        alias: &str,
+        rows: &[Value],
+    ) -> Result<Vec<usize>, EvalError> {
+        let compiled = (self.config.compile_exprs && !self.govern.injects_faults())
+            .then(|| bytecode::compile(pred));
+        let program = match compiled {
+            Some(Compiled::Program(p)) if p.root_safe => Some(p.specialize_for_root(alias)),
+            _ => None,
+        };
+        let mut hits = Vec::new();
+        let Some(program) = program else {
+            for (i, row) in rows.iter().enumerate() {
+                let env = Env::new().bind(alias.to_string(), row.clone());
+                if matches!(self.expr(pred, &env)?, Value::Bool(true)) {
+                    hits.push(i);
+                }
+            }
+            return Ok(hits);
+        };
+        let watcher = self.govern.as_watcher();
+        let env = Env::new();
+        let mut stack = self.vm_stack.take();
+        stack.clear();
+        let mut run = |stack: &mut Vec<Value>| -> Result<(), EvalError> {
+            for (i, row) in rows.iter().enumerate() {
+                if let Some(g) = watcher {
+                    if i % BATCH_TICK_ROWS == 0 {
+                        g.tick()?;
+                    }
+                }
+                self.exec_program(&program, Some((alias, row)), &env, stack)?;
+                if matches!(
+                    stack.pop().expect("bytecode program left no result"),
+                    Value::Bool(true)
+                ) {
+                    hits.push(i);
+                }
+            }
+            Ok(())
+        };
+        let result = run(&mut stack);
+        stack.clear();
+        self.vm_stack.set(stack);
+        result.map(|()| hits)
+    }
+
     // =================================================================
     // Expressions
     // =================================================================

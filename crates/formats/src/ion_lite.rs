@@ -49,6 +49,66 @@ pub fn to_ion_lite(v: &Value) -> Vec<u8> {
     buf
 }
 
+/// A value to encode whose parts are borrowed: a frame (a WAL record, a
+/// snapshot) built around values that already exist, written without
+/// copying them first. [`to_ion_lite_borrowed`] produces exactly the
+/// bytes [`to_ion_lite`] produces for the equivalent owned value.
+#[derive(Debug)]
+pub enum Borrowed<'a> {
+    /// An existing value, encoded in place.
+    Value(&'a Value),
+    /// An integer.
+    Int(i64),
+    /// A string.
+    Str(&'a str),
+    /// An array of parts.
+    Array(Vec<Borrowed<'a>>),
+    /// A tuple of named parts. A MISSING part is left out, as
+    /// `Tuple::insert` leaves it out of an owned tuple.
+    Tuple(Vec<(&'a str, Borrowed<'a>)>),
+}
+
+/// Encodes a partly borrowed value to ion-lite bytes.
+pub fn to_ion_lite_borrowed(b: &Borrowed<'_>) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64);
+    encode_borrowed(b, &mut buf);
+    buf
+}
+
+fn encode_borrowed(b: &Borrowed<'_>, buf: &mut Vec<u8>) {
+    match b {
+        Borrowed::Value(v) => encode(v, buf),
+        Borrowed::Int(i) => {
+            buf.push(TAG_INT);
+            put_zigzag(buf, *i as i128);
+        }
+        Borrowed::Str(s) => {
+            buf.push(TAG_STRING);
+            put_varint(buf, s.len() as u128);
+            buf.extend_from_slice(s.as_bytes());
+        }
+        Borrowed::Array(items) => {
+            buf.push(TAG_ARRAY);
+            put_varint(buf, items.len() as u128);
+            for item in items {
+                encode_borrowed(item, buf);
+            }
+        }
+        Borrowed::Tuple(fields) => {
+            let present = |(_, part): &&(&str, Borrowed<'_>)| {
+                !matches!(part, Borrowed::Value(Value::Missing))
+            };
+            buf.push(TAG_TUPLE);
+            put_varint(buf, fields.iter().filter(present).count() as u128);
+            for (name, part) in fields.iter().filter(present) {
+                put_varint(buf, name.len() as u128);
+                buf.extend_from_slice(name.as_bytes());
+                encode_borrowed(part, buf);
+            }
+        }
+    }
+}
+
 /// Decodes one ion-lite value; the whole buffer must be consumed.
 pub fn from_ion_lite(mut data: &[u8]) -> Result<Value, FormatError> {
     let v = decode(&mut data, 0)?;
@@ -356,6 +416,31 @@ mod tests {
         }
         bytes.push(TAG_NULL);
         assert!(from_ion_lite(&bytes).is_err());
+    }
+
+    #[test]
+    fn borrowed_parts_encode_like_the_owned_value() {
+        let inner = Value::Tuple(tuple! {"x" => 1.5f64, "ys" => bag![1i64, Value::Null]});
+        let borrowed = Borrowed::Tuple(vec![
+            ("n", Borrowed::Int(-7)),
+            ("s", Borrowed::Str("héllo")),
+            ("gone", Borrowed::Value(&Value::Missing)),
+            ("v", Borrowed::Value(&inner)),
+            (
+                "a",
+                Borrowed::Array(vec![Borrowed::Value(&Value::Missing), Borrowed::Int(3)]),
+            ),
+        ]);
+        let mut owned = Tuple::new();
+        owned.insert("n", Value::Int(-7));
+        owned.insert("s", Value::Str("héllo".into()));
+        owned.insert("gone", Value::Missing);
+        owned.insert("v", inner.clone());
+        owned.insert("a", array![Value::Missing, 3i64]);
+        assert_eq!(
+            to_ion_lite_borrowed(&borrowed),
+            to_ion_lite(&Value::Tuple(owned))
+        );
     }
 
     #[test]

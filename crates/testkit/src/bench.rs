@@ -7,7 +7,8 @@
 //! can diff against a committed baseline.
 //!
 //! ```ignore
-//! let mut h = Harness::new("seed", BenchConfig::from_args());
+//! let (cfg, name) = BenchConfig::from_args("seed");
+//! let mut h = Harness::new(name, cfg);
 //! h.bench("agg_pipeline/pipelined/1000", || plan.execute(&engine).unwrap());
 //! h.finish().unwrap();
 //! ```
@@ -53,8 +54,9 @@ impl BenchConfig {
     }
 
     /// Parses process arguments: `--quick`, `--name <report-name>`.
-    /// Returns the config and the report name (default `"seed"`).
-    pub fn from_args() -> (Self, String) {
+    /// Returns the config and the report name (`default_name` when no
+    /// `--name` is given).
+    pub fn from_args(default_name: &str) -> (Self, String) {
         let args: Vec<String> = std::env::args().skip(1).collect();
         let quick = args.iter().any(|a| a == "--quick");
         let name = args
@@ -62,7 +64,7 @@ impl BenchConfig {
             .position(|a| a == "--name")
             .and_then(|i| args.get(i + 1))
             .cloned()
-            .unwrap_or_else(|| "seed".to_string());
+            .unwrap_or_else(|| default_name.to_string());
         let cfg = if quick {
             BenchConfig::quick()
         } else {

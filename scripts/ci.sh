@@ -113,16 +113,22 @@ echo "out-of-core differential OK"
 echo "== durability smoke (B18) =="
 # B18's own asserts ARE the correctness side of the gate: snapshot
 # recovery must replay zero records, WAL replay must reproduce every
-# row of every shard, and checkpoints must leave a parseable snapshot.
-# Timings (per-commit WAL overhead at each sync mode, checkpoint write,
-# cold-start recovery) are reported, not gated — fsync latency belongs
-# to the storage stack. The greps check the durability counters flow
-# into the JSON report.
+# row of every shard, checkpoints must leave a parseable snapshot, and
+# the WAL bytes of a single-row INSERT/UPDATE/DELETE must be flat
+# (max/min <= 1.1) across 1k/10k/100k-row collections — DML logs
+# patches, not collections. Timings (per-commit WAL overhead at each
+# sync mode, single-row DML per size, checkpoint write, cold-start
+# recovery) are reported, not gated — fsync latency belongs to the
+# storage stack. The greps check the durability counters flow into the
+# JSON report.
 SQLPP_BENCH_DIR="$out_dir" cargo run --release -q -p sqlpp-bench --bin bench_durability -- --quick --name durability
 durability_report="$out_dir/BENCH_durability.json"
 test -s "$durability_report" || { echo "missing durability bench report $durability_report" >&2; exit 1; }
 grep -q '"wal_bytes_per_commit_always"' "$durability_report" || { echo "wal counters missing from $durability_report" >&2; exit 1; }
 grep -q '"fsyncs_always"' "$durability_report" || { echo "fsync counters missing from $durability_report" >&2; exit 1; }
+for rows in 1000 10000 100000; do
+  grep -q "\"wal_bytes_per_commit_$rows\"" "$durability_report" || { echo "wal_bytes_per_commit_$rows missing from $durability_report" >&2; exit 1; }
+done
 echo "durability OK: $durability_report"
 
 echo "== crash-recovery gate =="

@@ -203,8 +203,8 @@ fn dml_statements_round_trip_through_the_printer() {
 
 // ======================================================================
 // Atomicity under mid-statement failure (ISSUE 5 satellite): every DML
-// statement computes its complete replacement value before the single
-// `commit_collection` publish point, so a failure part-way through —
+// statement computes its complete patch before the single
+// `commit_patch` publish point, so a failure part-way through —
 // strict-mode type error, governed budget refusal, injected fault —
 // must leave the target collection exactly as it was.
 // ======================================================================
@@ -334,4 +334,90 @@ fn failed_dml_is_atomic_under_injected_faults() {
             }
         }
     }
+}
+
+// ======================================================================
+// UPDATE and DELETE find their rows with a compiled predicate run over
+// the borrowed collection; `compile_exprs: false` tree-walks each row.
+// Both must leave the same catalog and report the same outcome, in both
+// typing modes — including NULL/MISSING predicates, strict-mode type
+// errors, and subquery predicates (which never compile and fall back).
+// ======================================================================
+
+fn mixed(compile_exprs: bool, typing: sqlpp::TypingMode) -> Engine {
+    let engine = Engine::new().with_config(sqlpp::SessionConfig {
+        compile_exprs,
+        typing,
+        ..sqlpp::SessionConfig::default()
+    });
+    engine
+        .load_pnotation(
+            "m",
+            "{{ {'id': 1, 'v': 10, 'tag': 'a'}, {'id': 2, 'v': null, 'tag': 'b'},
+                {'id': 3, 'tag': 'a'}, {'id': 4, 'v': 'x', 'tag': 'c'},
+                {'id': 5, 'v': 30, 'tag': null}, {'id': 6, 'v': 25} }}",
+        )
+        .unwrap();
+    engine
+        .load_pnotation(
+            "arr",
+            "[{'id': 1, 'v': 1}, {'id': 2, 'v': 2}, {'id': 3}, {'id': 4, 'v': 4}]",
+        )
+        .unwrap();
+    engine
+        .load_pnotation("keep", "{{ {'id': 2}, {'id': 5} }}")
+        .unwrap();
+    engine
+}
+
+#[test]
+fn dml_predicates_agree_between_bytecode_and_tree_walk() {
+    let statements = [
+        "DELETE FROM m AS e WHERE e.v > 15",
+        "DELETE FROM m AS e WHERE e.v IS MISSING",
+        "DELETE FROM m AS e WHERE e.v IS NULL",
+        "DELETE FROM m AS e WHERE e.tag = 'a'",
+        "DELETE FROM m AS e WHERE NOT (e.v < 20)",
+        "DELETE FROM m AS e WHERE e.v LIKE 'x%'",
+        "DELETE FROM m AS e WHERE e.id IN [1, 3, 6] AND e.v BETWEEN 5 AND 40",
+        "DELETE FROM m AS e WHERE e.id IN (SELECT VALUE k.id FROM keep AS k)",
+        "DELETE FROM m AS e WHERE EXISTS (SELECT VALUE 1 FROM keep AS k WHERE k.id = e.id)",
+        "DELETE FROM m",
+        "DELETE FROM arr AS e WHERE e.v % 2 = 0",
+        "DELETE FROM arr AS e WHERE e.v = NULL",
+        "UPDATE m AS e SET e.v = e.id * 100 WHERE e.v = NULL",
+        "UPDATE m AS e SET e.w = e.v + 1 WHERE e.tag <> 'b'",
+        "UPDATE m AS e SET e.v = 0 WHERE e.id IN (SELECT VALUE k.id FROM keep AS k)",
+        "UPDATE m AS e SET e.tag = 'z' WHERE e.v BETWEEN 5 AND 25",
+        "UPDATE m AS e SET e.v = 1 WHERE e.tag < 5",
+        "UPDATE m AS e SET e.v = CASE WHEN e.v > 20 THEN 'big' ELSE 'small' END",
+        "UPDATE arr AS e SET e.v = e.v * 10 WHERE e.id > 1",
+    ];
+    for typing in [
+        sqlpp::TypingMode::Permissive,
+        sqlpp::TypingMode::StrictError,
+    ] {
+        for stmt in statements {
+            let outcomes: Vec<(Result<String, String>, String, String)> = [true, false]
+                .into_iter()
+                .map(|compile_exprs| {
+                    let engine = mixed(compile_exprs, typing);
+                    let outcome = engine
+                        .execute(stmt)
+                        .map(|o| format!("{o:?}"))
+                        .map_err(|e| e.to_string());
+                    (outcome, stored(&engine, "m"), stored(&engine, "arr"))
+                })
+                .collect();
+            assert_eq!(outcomes[0], outcomes[1], "{typing:?}: {stmt}");
+        }
+    }
+    // The corpus is only meaningful if it exercises both outcomes.
+    let strict = mixed(true, sqlpp::TypingMode::StrictError);
+    assert!(strict.execute("DELETE FROM m AS e WHERE e.v > 15").is_err());
+    let permissive = mixed(true, sqlpp::TypingMode::Permissive);
+    assert!(matches!(
+        permissive.execute("DELETE FROM m AS e WHERE e.v > 15"),
+        Ok(ExecOutcome::Deleted { count: 2 })
+    ));
 }

@@ -178,9 +178,9 @@ fn sessions_share_the_catalog_but_not_the_config() {
 
 #[test]
 fn concurrent_dml_loses_no_updates() {
-    // Every DML statement is snapshot-and-replace; without the catalog's
-    // writer serialization two concurrent INSERTs clone the same
-    // snapshot and the second commit drops the first's row. Eight
+    // Every DML statement patches the snapshot it read; without the
+    // catalog's writer serialization two concurrent INSERTs could copy
+    // the same snapshot and the second rebind drops the first's row. Eight
     // threads hammering one collection must land every single insert.
     let engine = Engine::new();
     engine.register("log", sqlpp_value::bag![]);

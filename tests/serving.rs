@@ -380,8 +380,8 @@ fn threaded_chaos_storm_preserves_catalog_integrity() {
     }
     // Succeeding writers: open table, every insert lands. Three of
     // them racing on one collection is the lost-update canary — without
-    // the catalog's DML guard, concurrent snapshot-and-replace commits
-    // silently drop each other's rows.
+    // the catalog's DML guard, two commits could copy the same snapshot
+    // and the second rebind would silently drop the first's rows.
     for t in 0..3 {
         handles.push(std::thread::spawn(move || {
             let mut c = Client::connect(main_addr).unwrap();
